@@ -96,8 +96,7 @@ CONFIG_KEYS: dict[str, tuple[type, object, str]] = {
     "num_relations": (int, 0, "ingest numeric: declared count, 0 = infer"),
     "gc_dim": (int, 8, "gradcheck: kernel dimension"),
     "gc_instances": (int, 100, "gradcheck: instances per kernel"),
-    "threads": (int, 1, "evaluation worker threads"),
-    "deterministic": (bool, True, "force single-threaded reproducible paths"),
+    "deterministic": (bool, True, "omit wall-clock fields so logs are byte-identical"),
 }
 
 # Presets pin every key so a run is fully described by preset + overrides.
@@ -119,7 +118,7 @@ _WIKIKG2_COMMON = {
     "train_file": "", "valid_file": "", "test_file": "",
     "format": "labels", "num_entities": 0, "num_relations": 0,
     "gc_dim": 8, "gc_instances": 100,
-    "threads": 1, "deterministic": True,
+    "deterministic": True,
 }
 PRESETS: dict[str, dict] = {
     "interht-wikikg2": {
@@ -319,11 +318,10 @@ def cmd_train(cfg: dict, explicit: set) -> int:
             f"token cache covers {tokens.num_entities} entities, "
             f"store has {store.num_entities}"
         )
-    threads = 1 if cfg["deterministic"] else cfg["threads"]
     final = train_loop(
         store, tc, tokens=tokens, sink=_metric_sink(cfg),
         checkpoint_dir=cfg["checkpoint_dir"],
-        deterministic=cfg["deterministic"], eval_threads=threads,
+        deterministic=cfg["deterministic"],
     )
     print(f"done: step={final.meta['step']} "
           f"checkpoints in {cfg['checkpoint_dir']}", file=sys.stderr)
@@ -356,11 +354,10 @@ def cmd_eval(cfg: dict, explicit: set) -> int:
         candidate_sets["tail"] = load_candidate_sets(cfg["candidates_tail"])
     if cfg["candidates_head"]:
         candidate_sets["head"] = load_candidate_sets(cfg["candidates_head"])
-    threads = 1 if cfg["deterministic"] else cfg["threads"]
     report = evaluate_split(
         model, store, cfg["split"], protocol=cfg["protocol"],
         tie_policy=cfg["tie_policy"], both_directions=cfg["both_directions"],
-        candidate_sets=candidate_sets or None, threads=threads,
+        candidate_sets=candidate_sets or None,
     )
     emit_json(report.to_dict())
     print(

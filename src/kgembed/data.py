@@ -1,4 +1,5 @@
-"""Triple store: vocabularies, splits, CSR adjacency, and filter indices.
+"""Triple store: vocabularies, splits, CSR adjacency, and sorted triple-key
+indices.
 
 Triple files are UTF-8, one fact per line, exactly three tab-separated
 fields.  Blank lines and comment lines are rejected rather than skipped so
@@ -92,6 +93,12 @@ class TripleStore:
     node v, the (u, r) pairs with (u, r, v) in train; ``out_*`` lists the
     (u, r) pairs with (v, r, u) in train.  Both are sorted per node by
     (neighbor, relation).
+
+    Membership and filter sets come from sorted, deduplicated packed-key
+    arrays, each built on first use: "train" holds (h, r, t) keys of the
+    train split; "hrt" (h, r, t) and "trh" (t, r, h) keys of every split.
+    A key is ``(a * num_relations + r) * num_entities + b``, so the known
+    completions of a query are one contiguous ``searchsorted`` range.
     """
 
     entities: Vocab
@@ -106,10 +113,7 @@ class TripleStore:
     out_nbr: np.ndarray | None = None
     out_rel: np.ndarray | None = None
 
-    _hr: dict | None = field(default=None, repr=False)
-    _rt: dict | None = field(default=None, repr=False)
-    _all_keys: np.ndarray | None = field(default=None, repr=False)
-    _train_keys: np.ndarray | None = field(default=None, repr=False)
+    _keys: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def num_entities(self) -> int:
@@ -154,50 +158,61 @@ class TripleStore:
         t = np.asarray(t, dtype=np.int64)
         return (h * rl + r) * e + t
 
-    def _ensure_keys(self) -> None:
-        if self._all_keys is None:
-            parts = [s for s in SPLITS if len(self.splits[s])]
-            allt = np.concatenate([self.splits[s] for s in parts])
-            self._all_keys = np.unique(self._pack(allt[:, 0], allt[:, 1], allt[:, 2]))
-            tr = self.splits["train"]
-            self._train_keys = np.unique(self._pack(tr[:, 0], tr[:, 1], tr[:, 2]))
+    def _sorted_keys(self, order: str) -> np.ndarray:
+        keys = self._keys.get(order)
+        if keys is None:
+            if order == "train":
+                rows = self.splits["train"]
+            else:
+                rows = np.concatenate([self.splits[s] for s in SPLITS])
+            a, b = (2, 0) if order == "trh" else (0, 2)
+            keys = _sorted_unique(self._pack(rows[:, a], rows[:, 1], rows[:, b]))
+            self._keys[order] = keys
+        return keys
 
     def has_triple(self, h: int, r: int, t: int) -> bool:
         """True iff (h, r, t) appears in at least one split."""
-        self._ensure_keys()
+        keys = self._sorted_keys("hrt")
         key = self._pack(h, r, t)
-        i = np.searchsorted(self._all_keys, key)
-        return bool(i < len(self._all_keys) and self._all_keys[i] == key)
+        i = np.searchsorted(keys, key)
+        return bool(i < len(keys) and keys[i] == key)
 
     def train_triple_mask(self, h, r, t) -> np.ndarray:
         """Vectorized membership in the train split."""
-        self._ensure_keys()
+        train_keys = self._sorted_keys("train")
         keys = self._pack(h, r, t)
-        idx = np.searchsorted(self._train_keys, keys)
-        idx = np.minimum(idx, len(self._train_keys) - 1)
-        return self._train_keys[idx] == keys
+        idx = np.searchsorted(train_keys, keys)
+        idx = np.minimum(idx, len(train_keys) - 1)
+        return train_keys[idx] == keys
 
     @property
     def true_count(self) -> int:
-        self._ensure_keys()
-        return len(self._all_keys)
+        return len(self._sorted_keys("hrt"))
 
-    def _ensure_filter_index(self) -> None:
-        if self._hr is not None:
-            return
-        parts = [s for s in SPLITS if len(self.splits[s])]
-        allt = np.concatenate([self.splits[s] for s in parts]).astype(np.int64)
-        rl = np.int64(self.num_relations)
-        self._hr = _group_by(allt[:, 0] * rl + allt[:, 1], allt[:, 2])
-        self._rt = _group_by(allt[:, 2] * rl + allt[:, 1], allt[:, 0])
+    def completions(self, fixed, r, target: str) -> tuple[np.ndarray, np.ndarray]:
+        """Known-true completions (any split) of a block of queries.
+
+        Query i asks for the ``target`` side ("tail" or "head") of relation
+        ``r[i]`` given entity ``fixed[i]`` on the other side.  Returns
+        ``(query, entity)``: one pair per completion, grouped by query and
+        sorted by entity within a query.
+        """
+        if target not in ("tail", "head"):
+            raise ValueError(f"bad query target {target!r}")
+        keys = self._sorted_keys("hrt" if target == "tail" else "trh")
+        lo = self._pack(fixed, r, 0)
+        starts = np.searchsorted(keys, lo)
+        counts = np.searchsorted(keys, lo + self.num_entities) - starts
+        query = np.repeat(np.arange(len(lo)), counts)
+        first = np.cumsum(counts) - counts
+        pos = np.arange(len(query)) - np.repeat(first - starts, counts)
+        return query, keys[pos] - lo[query]
 
     def tails_of(self, h: int, r: int) -> np.ndarray:
-        self._ensure_filter_index()
-        return self._hr.get(h * self.num_relations + r, _EMPTY_IDS)
+        return self.completions([h], [r], "tail")[1]
 
     def heads_of(self, r: int, t: int) -> np.ndarray:
-        self._ensure_filter_index()
-        return self._rt.get(t * self.num_relations + r, _EMPTY_IDS)
+        return self.completions([t], [r], "head")[1]
 
     # -- persistence ------------------------------------------------------
 
@@ -246,17 +261,16 @@ class TripleStore:
         return build_adjacency(store)
 
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of int64 keys by a sort and a neighbour comparison.
 
-
-def _group_by(keys: np.ndarray, vals: np.ndarray) -> dict[int, np.ndarray]:
-    order = np.argsort(keys, kind="stable")
-    k, v = keys[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]]) if len(k) else np.empty(0, int)
-    bounds = np.r_[starts, len(k)]
-    return {
-        int(k[s]): np.unique(v[s:e]) for s, e in zip(bounds[:-1], bounds[1:])
-    }
+    numpy 2.4's ``np.unique`` hashes integer input before sorting; for 251k
+    packed keys that took 190 ms against 4 ms for this on a 2-core Xeon VM.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def _iter_lines(source) -> Iterable[str]:
@@ -311,8 +325,8 @@ def _count_duplicates(store: TripleStore) -> None:
         if len(arr) == 0:
             store.duplicates[s] = 0
             continue
-        n_unique = len(np.unique(arr, axis=0))
-        dups = len(arr) - n_unique
+        keys = store._pack(arr[:, 0], arr[:, 1], arr[:, 2])
+        dups = len(arr) - len(_sorted_unique(keys))
         store.duplicates[s] = dups
         if dups:
             log.warning("%s split contains %d duplicate triples (kept)", s, dups)

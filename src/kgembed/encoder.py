@@ -9,6 +9,7 @@ activations the backward needs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,9 @@ from scipy.special import erf
 SEG_ANCHOR, SEG_IN, SEG_OUT, SEG_CENTER = 0, 1, 2, 3
 NUM_SEGMENTS = 4
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: they keep float32 activations float32.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # weight names by combiner mode; "tok" rows are updated sparsely
 TRANSFORMER_PARAMS = (
@@ -123,7 +125,7 @@ def transformer_block(params: dict, cfg: EncoderConfig, x: np.ndarray,
                       mask: np.ndarray):
     """Pre-norm block: x + MHA(LN(x)), then + FFN(LN(.)).
 
-    Pad positions are excluded from attention with additive -inf logits; at
+    Pad positions are excluded from attention by -inf logits; at
     least one real token per row is required.
     """
     b, t, dt = x.shape
@@ -135,8 +137,8 @@ def transformer_block(params: dict, cfg: EncoderConfig, x: np.ndarray,
     qh = (x1 @ params["wq"]).reshape(b, t, heads, dh)
     kh = (x1 @ params["wk"]).reshape(b, t, heads, dh)
     vh = (x1 @ params["wv"]).reshape(b, t, heads, dh)
-    logits = np.einsum("bthd,bshd->bhts", qh, kh) / np.sqrt(dh)
-    logits = logits + np.where(mask, 0.0, -np.inf)[:, None, None, :]
+    logits = np.einsum("bthd,bshd->bhts", qh, kh) / math.sqrt(dh)
+    logits = np.where(mask[:, None, None, :], logits, -np.inf)
     w = np.exp(logits - logits.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     ctx = np.einsum("bhts,bshd->bthd", w, vh).reshape(b, t, dt)
@@ -183,8 +185,8 @@ def transformer_block_backward(params: dict, cfg: EncoderConfig, cache: dict,
     dw = np.einsum("bthd,bshd->bhts", dctx, cache["vh"])
     dvh = np.einsum("bhts,bthd->bshd", w, dctx)
     dlogits = w * (dw - (w * dw).sum(axis=-1, keepdims=True))
-    dqh = np.einsum("bhts,bshd->bthd", dlogits, cache["kh"]) / np.sqrt(dh)
-    dkh = np.einsum("bhts,bthd->bshd", dlogits, cache["qh"]) / np.sqrt(dh)
+    dqh = np.einsum("bhts,bshd->bthd", dlogits, cache["kh"]) / math.sqrt(dh)
+    dkh = np.einsum("bhts,bthd->bshd", dlogits, cache["qh"]) / math.sqrt(dh)
     x1f = cache["x1"].reshape(-1, dt)
     dq = dqh.reshape(-1, dt)
     dk = dkh.reshape(-1, dt)
@@ -212,6 +214,7 @@ def encode_entity(params: dict, cfg: EncoderConfig, ids: np.ndarray,
     if (n_real == 0).any():
         raise ValueError("encode_entity: entity with no real tokens")
     x = embed_tokens(params, ids, seg, mask)
+    n_real = n_real.astype(x.dtype)
     if cfg.combiner == "transformer":
         y, block = transformer_block(params, cfg, x, mask)
     else:

@@ -103,9 +103,10 @@ class KgeModel:
     def mode(self) -> str:
         return "tokenized" if self.tokenized else "lookup"
 
-    def score(self, vecs: dict[str, np.ndarray]):
-        """Kernel dispatch: (d, grads) with lower d = more plausible."""
-        return score_for_loss(self.kind, vecs, p=self.p, u=self.u)
+    def score(self, vecs: dict[str, np.ndarray], grad: bool = True):
+        """Kernel dispatch: (d, grads) with lower d = more plausible; no
+        gradients (an empty dict) with ``grad=False``."""
+        return score_for_loss(self.kind, vecs, p=self.p, u=self.u, grad=grad)
 
     def encode_entities(self, ids: np.ndarray):
         """(base [n, d], aux [n, d] or None, backward cache) for entity ids."""

@@ -4,7 +4,9 @@ Every kernel returns ``(value, grads)`` where ``value`` has the batch shape
 of its broadcast inputs and ``grads`` maps each input name to d(value)/d(input)
 at the same shape.  Distance models use "lower is better"; bilinear models
 return raw scores ("higher is better") and are sign-flipped by
-:func:`score_for_loss` so the margin loss applies uniformly.
+:func:`score_for_loss` so the margin loss applies uniformly.  With
+``grad=False`` a kernel skips its gradient terms and returns an empty dict;
+its value comes from the same expressions, so it is bit-identical.
 
 Complex-valued vectors are laid out as [re_0..re_{m-1}, im_0..im_{m-1}]
 with m = d/2.  RotatE relations are stored as phases, so the per-component
@@ -68,29 +70,34 @@ def _check_even(d: int) -> int:
     return d // 2
 
 
-def _norm_and_grad(res: np.ndarray, p: int):
-    """p-norm of the residual over the last axis and d(norm)/d(res).
+def _norm_and_grad(res: np.ndarray, p: int, grad: bool = True):
+    """p-norm of the residual over the last axis and d(norm)/d(res), or
+    None in place of the gradient when ``grad`` is off.
 
     The L1 subgradient at 0 is taken as 0; the L2 gradient at the zero
     vector is likewise 0.
     """
     if p == 1:
-        return np.abs(res).sum(axis=-1), np.sign(res)
+        return np.abs(res).sum(axis=-1), np.sign(res) if grad else None
     if p == 2:
         d = np.sqrt((res * res).sum(axis=-1))
+        if not grad:
+            return d, None
         safe = np.where(d == 0.0, 1.0, d)
         return d, res / safe[..., None]
     raise ValueError(f"norm order must be 1 or 2, got {p}")
 
 
-def transe_distance(h, r, t, p: int = 1):
+def transe_distance(h, r, t, p: int = 1, grad: bool = True):
     """d = ||h + r - t||_p"""
     _check_dims(h, r, t)
-    d, g = _norm_and_grad(h + r - t, p)
+    d, g = _norm_and_grad(h + r - t, p, grad)
+    if not grad:
+        return d, {}
     return d, {"h": g, "r": g, "t": -g}
 
 
-def interht_distance(h, r, t, h_a, t_a, p: int = 1):
+def interht_distance(h, r, t, h_a, t_a, p: int = 1, grad: bool = True):
     """d = ||h o (t_a + 1) - t o (h_a + 1) + r||_p
 
     Each entity carries a base and an auxiliary vector; the auxiliary vector
@@ -100,7 +107,9 @@ def interht_distance(h, r, t, h_a, t_a, p: int = 1):
     _check_dims(h, r, t, h_a, t_a)
     ta1 = t_a + 1.0
     ha1 = h_a + 1.0
-    d, g = _norm_and_grad(h * ta1 - t * ha1 + r, p)
+    d, g = _norm_and_grad(h * ta1 - t * ha1 + r, p, grad)
+    if not grad:
+        return d, {}
     return d, {
         "h": g * ta1,
         "r": g,
@@ -110,7 +119,8 @@ def interht_distance(h, r, t, h_a, t_a, p: int = 1):
     }
 
 
-def interht_plus_distance(h, r, t, r_h, r_t, u: float, p: int = 1):
+def interht_plus_distance(h, r, t, r_h, r_t, u: float, p: int = 1,
+                          grad: bool = True):
     """d = ||u*(h o t) + h o (u*r_h + 1) - t o (u*r_t + 1) + r||_p
 
     Relation-side gating on top of the head-tail interaction term; u is a
@@ -119,7 +129,9 @@ def interht_plus_distance(h, r, t, r_h, r_t, u: float, p: int = 1):
     _check_dims(h, r, t, r_h, r_t)
     gh = u * r_h + 1.0
     gt = u * r_t + 1.0
-    d, g = _norm_and_grad(u * h * t + h * gh - t * gt + r, p)
+    d, g = _norm_and_grad(u * h * t + h * gh - t * gt + r, p, grad)
+    if not grad:
+        return d, {}
     return d, {
         "h": g * (u * t + gh),
         "t": g * (u * h - gt),
@@ -129,7 +141,7 @@ def interht_plus_distance(h, r, t, r_h, r_t, u: float, p: int = 1):
     }
 
 
-def rotate_distance(h, phase, t, p: int = 1):
+def rotate_distance(h, phase, t, p: int = 1, grad: bool = True):
     """d aggregates |h_i * e^{i theta_i} - t_i| over complex components."""
     d_full = _check_dims(h, t)
     m = _check_even(d_full)
@@ -147,14 +159,16 @@ def rotate_distance(h, phase, t, p: int = 1):
     mod = np.sqrt(zr * zr + zi * zi)
     if p == 1:
         d = mod.sum(axis=-1)
-        safe = np.where(mod == 0.0, 1.0, mod)
-        gzr, gzi = zr / safe, zi / safe
+        denom = mod
     elif p == 2:
         d = np.sqrt((mod * mod).sum(axis=-1))
-        safe = np.where(d == 0.0, 1.0, d)[..., None]
-        gzr, gzi = zr / safe, zi / safe
+        denom = d[..., None]
     else:
         raise ValueError(f"norm order must be 1 or 2, got {p}")
+    if not grad:
+        return d, {}
+    safe = np.where(denom == 0.0, 1.0, denom)
+    gzr, gzi = zr / safe, zi / safe
     grads = {
         "h": np.concatenate([gzr * c + gzi * s, -gzr * s + gzi * c], axis=-1),
         "r": gzr * (-rot_i) + gzi * rot_r,
@@ -163,14 +177,17 @@ def rotate_distance(h, phase, t, p: int = 1):
     return d, grads
 
 
-def pairre_distance(h, r_h, r_t, t, p: int = 1):
+def pairre_distance(h, r_h, r_t, t, p: int = 1, grad: bool = True):
     """d = ||h o r_h - t o r_t||_p"""
     _check_dims(h, r_h, r_t, t)
-    d, g = _norm_and_grad(h * r_h - t * r_t, p)
+    d, g = _norm_and_grad(h * r_h - t * r_t, p, grad)
+    if not grad:
+        return d, {}
     return d, {"h": g * r_h, "r_h": g * h, "t": -g * r_t, "r_t": -g * t}
 
 
-def triplere_distance(h, r_h, r_m, r_t, t, u: float = 0.0, version: int = 1, p: int = 1):
+def triplere_distance(h, r_h, r_m, r_t, t, u: float = 0.0, version: int = 1,
+                      p: int = 1, grad: bool = True):
     """v1: d = ||h o r_h - t o r_t + r_m||_p
     v2: d = ||h o (r_h + u) - t o (r_t + u) + r_m||_p
     """
@@ -181,18 +198,22 @@ def triplere_distance(h, r_h, r_m, r_t, t, u: float = 0.0, version: int = 1, p: 
         raise ValueError(f"triplere version must be 1 or 2, got {version}")
     rh = r_h + u
     rt = r_t + u
-    d, g = _norm_and_grad(h * rh - t * rt + r_m, p)
+    d, g = _norm_and_grad(h * rh - t * rt + r_m, p, grad)
+    if not grad:
+        return d, {}
     return d, {"h": g * rh, "r_h": g * h, "r": g, "t": -g * rt, "r_t": -g * t}
 
 
-def distmult_score(h, r, t):
+def distmult_score(h, r, t, grad: bool = True):
     """s = sum_i h_i r_i t_i (higher is better; symmetric in h and t)."""
     _check_dims(h, r, t)
     s = (h * r * t).sum(axis=-1)
+    if not grad:
+        return s, {}
     return s, {"h": r * t, "r": h * t, "t": h * r}
 
 
-def complex_score(h, r, t):
+def complex_score(h, r, t, grad: bool = True):
     """s = Re(sum_i h_i r_i conj(t_i)) over d/2 complex components."""
     d_full = _check_dims(h, r, t)
     m = _check_even(d_full)
@@ -200,6 +221,8 @@ def complex_score(h, r, t):
     rr, ri = r[..., :m], r[..., m:]
     tr, ti = t[..., :m], t[..., m:]
     s = (hr * rr * tr + hi * rr * ti + hr * ri * ti - hi * ri * tr).sum(axis=-1)
+    if not grad:
+        return s, {}
     grads = {
         "h": np.concatenate([rr * tr + ri * ti, rr * ti - ri * tr], axis=-1),
         "r": np.concatenate([hr * tr + hi * ti, hr * ti - hi * tr], axis=-1),
@@ -209,46 +232,49 @@ def complex_score(h, r, t):
 
 
 def score_for_loss(kind: ModelKind | str, vecs: dict[str, np.ndarray],
-                   p: int = 1, u: float = 0.0):
+                   p: int = 1, u: float = 0.0, grad: bool = True):
     """Unified "lower is better" adapter.
 
     Distance models return their distance; bilinear models return the
     negated score, so the margin loss treats all kinds identically.  ``vecs``
     holds h/t (and h_a/t_a for auxiliary kinds) plus the relation parts the
     kind declares.  Gradients of unused inputs are simply absent (identically
-    zero).
+    zero); with ``grad=False`` all of them are.
     """
     if isinstance(kind, str):
         kind = model_kind(kind)
     name = kind.name
     if name == "transe":
-        return transe_distance(vecs["h"], vecs["r"], vecs["t"], p)
+        return transe_distance(vecs["h"], vecs["r"], vecs["t"], p, grad)
     if name == "rotate":
-        return rotate_distance(vecs["h"], vecs["r"], vecs["t"], p)
+        return rotate_distance(vecs["h"], vecs["r"], vecs["t"], p, grad)
     if name == "pairre":
-        return pairre_distance(vecs["h"], vecs["r_h"], vecs["r_t"], vecs["t"], p)
+        return pairre_distance(vecs["h"], vecs["r_h"], vecs["r_t"], vecs["t"],
+                               p, grad)
     if name == "triplere":
         return triplere_distance(
-            vecs["h"], vecs["r_h"], vecs["r"], vecs["r_t"], vecs["t"], version=1, p=p
+            vecs["h"], vecs["r_h"], vecs["r"], vecs["r_t"], vecs["t"], version=1,
+            p=p, grad=grad,
         )
     if name == "triplere2":
         return triplere_distance(
             vecs["h"], vecs["r_h"], vecs["r"], vecs["r_t"], vecs["t"],
-            u=u, version=2, p=p,
+            u=u, version=2, p=p, grad=grad,
         )
     if name == "interht":
         return interht_distance(
-            vecs["h"], vecs["r"], vecs["t"], vecs["h_a"], vecs["t_a"], p
+            vecs["h"], vecs["r"], vecs["t"], vecs["h_a"], vecs["t_a"], p, grad
         )
     if name == "interht_plus":
         return interht_plus_distance(
-            vecs["h"], vecs["r"], vecs["t"], vecs["r_h"], vecs["r_t"], u=u, p=p
+            vecs["h"], vecs["r"], vecs["t"], vecs["r_h"], vecs["r_t"], u=u, p=p,
+            grad=grad,
         )
     if name == "distmult":
-        s, grads = distmult_score(vecs["h"], vecs["r"], vecs["t"])
+        s, grads = distmult_score(vecs["h"], vecs["r"], vecs["t"], grad)
         return -s, {k: -g for k, g in grads.items()}
     if name == "complex":
-        s, grads = complex_score(vecs["h"], vecs["r"], vecs["t"])
+        s, grads = complex_score(vecs["h"], vecs["r"], vecs["t"], grad)
         return -s, {k: -g for k, g in grads.items()}
     raise ValueError(f"unknown model kind {name!r}")
 

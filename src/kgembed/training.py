@@ -509,7 +509,7 @@ def model_from_checkpoint(ckpt: Checkpoint, tokens=None,
 def train_loop(store: TripleStore, cfg: TrainConfig, tokens=None,
                model: KgeModel | None = None, sink=None,
                checkpoint_dir: str | Path | None = None,
-               deterministic: bool = True, eval_threads: int = 1) -> Checkpoint:
+               deterministic: bool = True) -> Checkpoint:
     """Run training; returns (and optionally writes) the final checkpoint.
 
     ``sink`` receives one dict per log event.  With a validation split
@@ -566,8 +566,7 @@ def train_loop(store: TripleStore, cfg: TrainConfig, tokens=None,
         if step % cfg.log_every == 0 or step == cfg.steps_max:
             emit({"step": step, "loss": round(loss, 6), "lr": cfg.lr})
         if has_valid and step % cfg.valid_every == 0:
-            report = evaluate_split(model, store, "valid",
-                                    threads=eval_threads)
+            report = evaluate_split(model, store, "valid")
             rec = {"step": step, "split": "valid", **report.to_dict()}
             emit(rec)
             if report.mrr > best_mrr:

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgembed.data import (Query, TripleFormatError, TripleStore,
                           build_adjacency, filtered_candidates, load_triples)
@@ -88,6 +89,18 @@ def test_duplicates_kept_and_counted(caplog):
     assert any("duplicate" in r.message for r in caplog.records)
 
 
+def test_duplicates_counted_per_split_not_across():
+    train = [(0, 0, 1), (0, 0, 1), (0, 0, 1), (1, 0, 0), (1, 1, 0)]
+    valid = [(0, 0, 1), (2, 1, 1), (2, 1, 1)]
+    test = [(1, 0, 0), (1, 1, 0), (0, 1, 1)]
+    store = store_from_arrays(train, valid=valid, test=test,
+                              num_entities=3, num_relations=2)
+    assert store.duplicates == {"train": 2, "valid": 1, "test": 0}
+    for s in ("train", "valid", "test"):
+        arr = store.splits[s]
+        assert store.duplicates[s] == len(arr) - len(np.unique(arr, axis=0))
+
+
 class TestAdjacency:
     def test_neighbors_sorted_by_neighbor_then_relation(self):
         store = store_from_arrays(
@@ -142,10 +155,41 @@ class TestMembership:
         mask = store.train_triple_mask(h, r, t)
         for i in range(500):
             assert mask[i] == ((h[i], r[i], t[i]) in train_set)
+        # training builds only the train index, not the all-split ones
+        assert set(store._keys) == {"train"}
 
     def test_true_count_dedupes(self):
         store = store_from_arrays([(0, 0, 1), (0, 0, 1)], valid=[(0, 0, 1)])
         assert store.true_count == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(ne=st.integers(1, 9), nr=st.integers(1, 3),
+       sizes=st.tuples(st.integers(1, 40), st.integers(0, 10),
+                       st.integers(0, 10)),
+       seed=st.integers(0, 2**32 - 1))
+def test_completions_match_set_recomputation(ne, nr, sizes, seed):
+    rng = np.random.default_rng(seed)
+    rows = [np.stack([rng.integers(0, ne, n), rng.integers(0, nr, n),
+                      rng.integers(0, ne, n)], axis=1) for n in sizes]
+    rows[1][:1] = rows[0][:1]       # a train triple repeated in valid
+    store = store_from_arrays(rows[0], valid=rows[1], test=rows[2],
+                              num_entities=ne, num_relations=nr)
+    known = {tuple(t) for split in rows for t in split.tolist()}
+    ents = range(ne)
+    pairs = [(e, r) for e in ents for r in range(nr)]
+    for e, r in pairs:
+        assert store.tails_of(e, r).tolist() == \
+            sorted(t for t in ents if (e, r, t) in known)
+        assert store.heads_of(r, e).tolist() == \
+            sorted(h for h in ents if (h, r, e) in known)
+    fixed, rel = np.array(pairs).T
+    for target in ("tail", "head"):
+        query, ent = store.completions(fixed, rel, target)
+        want = [(i, x) for i, (e, r) in enumerate(pairs) for x in ents
+                if ((e, r, x) if target == "tail" else (x, r, e)) in known]
+        assert list(zip(query.tolist(), ent.tolist())) == want
+    assert store.true_count == len(known)
 
 
 class TestFilteredCandidates:

@@ -267,6 +267,31 @@ class TestEncodeEntity:
         np.testing.assert_allclose(rebuilt, dense["tok"])
         assert set(tok_ids) == set(ids[mask].tolist())
 
+    @pytest.mark.parametrize("combiner", ["transformer", "mean"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_params_dtype_kept_end_to_end(self, dtype, combiner):
+        cfg = tiny_cfg(combiner=combiner)
+        params = enc.init_encoder_params(cfg, 12, np.random.default_rng(18),
+                                         dtype=dtype, pad_row=11)
+        rng = np.random.default_rng(19)
+        ids = rng.integers(0, 11, size=(3, 4))
+        mask = np.array([[True, True, False, True]] * 3)
+        ids[~mask] = 11
+        out, cache = enc.encode_entity(params, cfg, ids, np.array([0, 1, 2, 3]),
+                                       mask)
+        assert out.dtype == dtype
+        arrays = [cache["pooled"], cache["n_real"]]
+        if cache["block"] is not None:
+            arrays += [v for v in cache["block"].values()
+                       if isinstance(v, np.ndarray)]
+            arrays += list(cache["block"]["ln1"]) + list(cache["block"]["ln2"])
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+        d_out = rng.normal(size=out.shape).astype(dtype)
+        _, tok_rows, dense = enc.encode_entity_backward(params, cfg, cache,
+                                                        d_out)
+        assert tok_rows.dtype == dtype
+        assert {g.dtype for g in dense.values()} == {np.dtype(dtype)}
+
 
 class TestConfig:
     def test_heads_must_divide(self):

@@ -1,13 +1,70 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgembed import evaluation as ev
 from kgembed.data import Query
 from kgembed.model import build_model
+from kgembed.scoring import MODEL_KINDS
 
+import rank_oracle
 from conftest import random_store, store_from_arrays
+
+# Few distinct values, so that scores tie often and exactly.
+TIE_VALUES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def ranking_cases(draw):
+    """A small model with tie-heavy tables, a store whose splits repeat
+    triples, a protocol with candidate rows that may hold the gold, and the
+    block and chunk sizes to rank with."""
+    kind = draw(st.sampled_from(sorted(MODEL_KINDS)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    ne = draw(st.integers(2, 13))
+    nr = draw(st.integers(1, 3))
+    dim = draw(st.sampled_from([2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def triples(n):
+        return np.stack([rng.integers(0, ne, n), rng.integers(0, nr, n),
+                         rng.integers(0, ne, n)], axis=1)
+
+    train = triples(draw(st.integers(1, 30)))
+    valid = triples(draw(st.integers(0, 5)))
+    test = triples(draw(st.integers(1, 12)))
+    # repeat train triples in the held-out splits and inside test
+    test[rng.random(len(test)) < 0.3] = train[0]
+    if len(valid):
+        valid[0] = test[-1]
+    store = store_from_arrays(train, valid=valid if len(valid) else None,
+                              test=test, num_entities=ne, num_relations=nr)
+    m = build_model(kind, ne, nr, dim, p=draw(st.sampled_from([1, 2])),
+                    u=0.5, dtype=dtype)
+    palette = rng.choice(TIE_VALUES, size=(3, dim))
+    for name, table in m.params.items():
+        if name.startswith("ent"):
+            table[:] = palette[rng.integers(0, len(palette), len(table))]
+        elif m.kind.phase_relation:
+            table[:] = rng.choice([0.0, np.pi / 2, np.pi, 1.0], table.shape)
+        else:
+            table[:] = rng.choice(TIE_VALUES, table.shape)
+    protocol = draw(st.sampled_from(ev.PROTOCOLS))
+    cands = None
+    if protocol == "candidate-set":
+        k = draw(st.integers(1, 7))
+        cands = {}
+        for target, col in (("tail", 2), ("head", 0)):
+            rows = rng.integers(0, ne, (len(test), k))
+            gold_in = rng.random(len(test)) < 0.3
+            rows[gold_in, 0] = test[gold_in, col]
+            cands[target] = rows
+    return (m, store, protocol, draw(st.sampled_from(ev.TIE_POLICIES)),
+            draw(st.booleans()), cands, draw(st.sampled_from([1, 3, 16])),
+            draw(st.sampled_from([1, 2, 5, 64])))
 
 
 def line_model(store, positions, shift):
@@ -191,12 +248,56 @@ class TestEvaluateSplit:
         tails = ev.evaluate_split(m, store, "test", both_directions=False)
         assert both.count == 2 * tails.count
 
-    def test_threads_do_not_change_results(self):
-        store = random_store(20, 2, 100, seed=76, splits=(0.8, 0.0, 0.2))
-        m = build_model("interht", 20, 2, 4, seed=77)
-        one = ev.evaluate_split(m, store, "test", threads=1)
-        four = ev.evaluate_split(m, store, "test", threads=4)
-        assert one.to_dict() == four.to_dict()
+    @settings(max_examples=150, deadline=None)
+    @given(case=ranking_cases())
+    def test_ranks_match_per_query_oracle(self, case):
+        m, store, protocol, policy, both, cands, block, chunk = case
+        tables = m.encode_all()
+        known = rank_oracle.known_triples(store)
+        queries = ev.split_queries(store.splits["test"], both)
+        want = []
+        try:
+            for i, q in enumerate(queries):
+                row = None if cands is None else cands[q.target][i // (1 + both)]
+                want.append(rank_oracle.rank_query(
+                    m, known, q, protocol, policy, tables, row))
+        except ValueError:
+            want = None
+        dim = tables[0].shape[1]
+        with mock.patch.object(ev, "BLOCK_QUERIES", block), \
+                mock.patch.object(ev, "ELEMENT_BUDGET", block * chunk * dim):
+            if want is None:
+                with pytest.raises(ValueError, match="empty candidate"):
+                    ev.rank_split(m, store, "test", protocol, policy, both,
+                                  cands)
+                return
+            got = ev.rank_split(m, store, "test", protocol, policy, both, cands)
+            report = ev.evaluate_split(m, store, "test", protocol, policy,
+                                       both, cands)
+            for i, q in enumerate(queries):
+                row = None if cands is None else cands[q.target][i // (1 + both)]
+                one = ev.rank_query(m, store, q, protocol, policy, tables, row)
+                assert (one.rank, one.num_candidates) == \
+                    (want[i].rank, want[i].num_candidates)
+                assert np.array_equal(ev.score_against_all(m, tables, q),
+                                      rank_oracle.score_against_all(m, tables, q))
+        assert got.tolist() == [w.rank for w in want]
+        assert report == ev.summarize_ranks([w.rank for w in want], protocol,
+                                            policy)
+
+    def test_gold_in_candidate_row_warns_once_per_query(self, caplog):
+        store = store_from_arrays(
+            [(0, 0, 1)], test=[(0, 0, 1), (0, 0, 2)],
+            num_entities=6, num_relations=1,
+        )
+        m = line_model(store, [0, 1, 2, 3, 4, 5], 1.0)
+        cands = {"tail": np.array([[1, 1, 4], [3, 4, 5]])}
+        with caplog.at_level(logging.WARNING, logger="kgembed.evaluation"):
+            ranks = ev.rank_split(m, store, "test", "candidate-set",
+                                  both_directions=False, candidate_sets=cands)
+        warned = [r for r in caplog.records if "candidate set" in r.message]
+        assert len(warned) == 1
+        assert ranks.tolist() == [1.0, 1.0]
 
     def test_perfectly_ranked_split(self):
         # model distances reproduce the +1-shift graph exactly

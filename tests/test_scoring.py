@@ -187,6 +187,26 @@ class TestScoreForLoss:
             _, grads = score_for_loss(name, vecs, p=1, u=0.05)
             assert set(grads) == set(vecs), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_value_only_mode_is_bit_identical(self, p, dtype):
+        rng = np.random.default_rng(14)
+        dim = 8
+        for name, kind in MODEL_KINDS.items():
+            vecs = {"h": rng.normal(size=(3, 1, dim)),
+                    "t": rng.normal(size=(1, 5, dim))}
+            vecs["t"][0, 0] = vecs["h"][0, 0]    # a zero residual for transe
+            if kind.uses_aux:
+                vecs["h_a"] = rng.normal(size=(3, 1, dim))
+                vecs["t_a"] = rng.normal(size=(1, 5, dim))
+            for part in kind.rel_parts:
+                vecs[part] = rng.normal(size=(3, 1, kind.relation_dim(dim)))
+            vecs = {k: v.astype(dtype) for k, v in vecs.items()}
+            full, _ = score_for_loss(name, vecs, p=p, u=0.05)
+            value, grads = score_for_loss(name, vecs, p=p, u=0.05, grad=False)
+            assert grads == {}, name
+            assert value.dtype == full.dtype and np.array_equal(value, full), name
+
     def test_broadcasts_over_negative_axis(self):
         rng = np.random.default_rng(12)
         b, k, dim = 3, 5, 6
