@@ -181,9 +181,15 @@ class TripleStore:
         """Vectorized membership in the train split."""
         train_keys = self._sorted_keys("train")
         keys = self._pack(h, r, t)
+        # searched in sorted order: scattered keys (a corrupted head varies
+        # the most significant part) would each miss the cache on the way
+        order = np.argsort(keys)
+        keys = keys[order]
         idx = np.searchsorted(train_keys, keys)
         idx = np.minimum(idx, len(train_keys) - 1)
-        return train_keys[idx] == keys
+        mask = np.empty(len(keys), dtype=bool)
+        mask[order] = train_keys[idx] == keys
+        return mask
 
     @property
     def true_count(self) -> int:
@@ -390,18 +396,27 @@ def build_adjacency(store: TripleStore) -> TripleStore:
     e = store.num_entities
     h, r, t = tr[:, 0], tr[:, 1], tr[:, 2]
 
-    order = np.lexsort((r, h, t))
+    order = _stable_order(t, h, r, e, store.num_relations)
     store.in_nbr = np.ascontiguousarray(h[order])
     store.in_rel = np.ascontiguousarray(r[order])
     store.in_ptr = np.zeros(e + 1, dtype=np.int64)
     store.in_ptr[1:] = np.cumsum(np.bincount(t, minlength=e))
 
-    order = np.lexsort((r, t, h))
+    order = _stable_order(h, t, r, e, store.num_relations)
     store.out_nbr = np.ascontiguousarray(t[order])
     store.out_rel = np.ascontiguousarray(r[order])
     store.out_ptr = np.zeros(e + 1, dtype=np.int64)
     store.out_ptr[1:] = np.cumsum(np.bincount(h, minlength=e))
     return store
+
+
+def _stable_order(node, nbr, r, num_entities: int, num_relations: int):
+    """The order of ``np.lexsort((r, nbr, node))``, by one stable argsort
+    of packed ``(node * E + nbr) * R + r`` keys where they fit in int64."""
+    if num_entities * num_entities * num_relations >= 2**63:
+        return np.lexsort((r, nbr, node))
+    key = (node.astype(np.int64) * num_entities + nbr) * num_relations + r
+    return np.argsort(key, kind="stable")
 
 
 def filtered_candidates(store: TripleStore, query: Query) -> np.ndarray:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .segments import RowGroups
+
 SEG_ANCHOR, SEG_IN, SEG_OUT, SEG_CENTER = 0, 1, 2, 3
 NUM_SEGMENTS = 4
 
@@ -251,10 +253,10 @@ def encode_entity_backward(params: dict, cfg: EncoderConfig, cache: dict,
     flat = mask.reshape(-1)
     tok_ids = cache["ids"].reshape(-1)[flat]
     tok_rows = dx.reshape(-1, dt)[flat]
-    d_type = np.zeros_like(params["type"])
-    seg_flat = np.broadcast_to(cache["seg"], cache["ids"].shape).reshape(-1)[flat]
-    np.add.at(d_type, seg_flat, tok_rows)
-    dense["type"] = d_type
+    # every token column has one segment: sum each column, then the columns
+    # of each segment (pad positions of dx are zero)
+    in_segment = np.arange(NUM_SEGMENTS)[:, None] == cache["seg"][None, :]
+    dense["type"] = in_segment.astype(dx.dtype) @ dx.sum(axis=0)
     return tok_ids, tok_rows, dense
 
 
@@ -263,6 +265,7 @@ def encode_entity_grads(params: dict, cfg: EncoderConfig, cache: dict,
     """Dense-gradient convenience wrapper (token table densified)."""
     tok_ids, tok_rows, dense = encode_entity_backward(params, cfg, cache, d_out)
     d_tok = np.zeros_like(params["tok"])
-    np.add.at(d_tok, tok_ids, tok_rows)
+    groups = RowGroups(tok_ids)
+    d_tok[groups.ids] = groups.sum(tok_rows)
     dense["tok"] = d_tok
     return dense

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import encoder as enc
 from .anchors import TokenizedGraph
-from .scoring import ModelKind, model_kind, score_for_loss
+from .scoring import ModelKind, model_kind
 
 SEG_SEQUENCE = (enc.SEG_ANCHOR, enc.SEG_IN, enc.SEG_OUT, enc.SEG_CENTER)
 
@@ -106,7 +106,7 @@ class KgeModel:
     def score(self, vecs: dict[str, np.ndarray], grad: bool = True):
         """Kernel dispatch: (d, grads) with lower d = more plausible; no
         gradients (an empty dict) with ``grad=False``."""
-        return score_for_loss(self.kind, vecs, p=self.p, u=self.u, grad=grad)
+        return self.kind.score(vecs, p=self.p, u=self.u, grad=grad)
 
     def encode_entities(self, ids: np.ndarray):
         """(base [n, d], aux [n, d] or None, backward cache) for entity ids."""

@@ -4,7 +4,7 @@ Every kernel returns ``(value, grads)`` where ``value`` has the batch shape
 of its broadcast inputs and ``grads`` maps each input name to d(value)/d(input)
 at the same shape.  Distance models use "lower is better"; bilinear models
 return raw scores ("higher is better") and are sign-flipped by
-:func:`score_for_loss` so the margin loss applies uniformly.  With
+:meth:`ModelKind.score` so the margin loss applies uniformly.  With
 ``grad=False`` a kernel skips its gradient terms and returns an empty dict;
 its value comes from the same expressions, so it is bit-identical.
 
@@ -14,17 +14,20 @@ rotation always has modulus exactly 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ModelKind:
-    """Static description of a scoring function's parameter needs."""
+    """Static description of a scoring function's parameter needs, and the
+    kernel that scores it."""
 
     name: str
     rel_parts: tuple[str, ...]  # which relation tables exist: subset of r_h, r, r_t
+    kernel: Callable = field(repr=False, compare=False)  # (vecs, p, u, grad)
     uses_aux: bool = False      # per-entity auxiliary vectors
     bilinear: bool = False      # similarity score instead of distance
     even_dim: bool = False      # d interpreted as d/2 complex pairs
@@ -34,27 +37,14 @@ class ModelKind:
     def relation_dim(self, d: int) -> int:
         return d // 2 if self.phase_relation else d
 
-
-MODEL_KINDS: dict[str, ModelKind] = {
-    "transe": ModelKind("transe", ("r",)),
-    "rotate": ModelKind("rotate", ("r",), even_dim=True, phase_relation=True),
-    "pairre": ModelKind("pairre", ("r_h", "r_t")),
-    "triplere": ModelKind("triplere", ("r_h", "r", "r_t")),
-    "triplere2": ModelKind("triplere2", ("r_h", "r", "r_t"), uses_u=True),
-    "distmult": ModelKind("distmult", ("r",), bilinear=True),
-    "complex": ModelKind("complex", ("r",), bilinear=True, even_dim=True),
-    "interht": ModelKind("interht", ("r",), uses_aux=True),
-    "interht_plus": ModelKind("interht_plus", ("r_h", "r", "r_t"), uses_u=True),
-}
-
-
-def model_kind(name: str) -> ModelKind:
-    try:
-        return MODEL_KINDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model kind {name!r}; known: {sorted(MODEL_KINDS)}"
-        ) from None
+    def score(self, vecs: dict[str, np.ndarray], p: int = 1, u: float = 0.0,
+              grad: bool = True):
+        """(d, grads) with lower d = more plausible: bilinear scores and
+        their gradients are negated here and nowhere else."""
+        d, grads = self.kernel(vecs, p, u, grad)
+        if self.bilinear:
+            return -d, {k: -g for k, g in grads.items()}
+        return d, grads
 
 
 def _check_dims(*arrays) -> int:
@@ -231,9 +221,49 @@ def complex_score(h, r, t, grad: bool = True):
     return s, grads
 
 
+MODEL_KINDS: dict[str, ModelKind] = {k.name: k for k in (
+    ModelKind("transe", ("r",), lambda v, p, u, grad: transe_distance(
+        v["h"], v["r"], v["t"], p, grad)),
+    ModelKind("rotate", ("r",), lambda v, p, u, grad: rotate_distance(
+        v["h"], v["r"], v["t"], p, grad),
+        even_dim=True, phase_relation=True),
+    ModelKind("pairre", ("r_h", "r_t"), lambda v, p, u, grad: pairre_distance(
+        v["h"], v["r_h"], v["r_t"], v["t"], p, grad)),
+    ModelKind("triplere", ("r_h", "r", "r_t"),
+              lambda v, p, u, grad: triplere_distance(
+                  v["h"], v["r_h"], v["r"], v["r_t"], v["t"], version=1, p=p,
+                  grad=grad)),
+    ModelKind("triplere2", ("r_h", "r", "r_t"),
+              lambda v, p, u, grad: triplere_distance(
+                  v["h"], v["r_h"], v["r"], v["r_t"], v["t"], u=u, version=2,
+                  p=p, grad=grad),
+              uses_u=True),
+    ModelKind("distmult", ("r",), lambda v, p, u, grad: distmult_score(
+        v["h"], v["r"], v["t"], grad), bilinear=True),
+    ModelKind("complex", ("r",), lambda v, p, u, grad: complex_score(
+        v["h"], v["r"], v["t"], grad), bilinear=True, even_dim=True),
+    ModelKind("interht", ("r",), lambda v, p, u, grad: interht_distance(
+        v["h"], v["r"], v["t"], v["h_a"], v["t_a"], p, grad), uses_aux=True),
+    ModelKind("interht_plus", ("r_h", "r", "r_t"),
+              lambda v, p, u, grad: interht_plus_distance(
+                  v["h"], v["r"], v["t"], v["r_h"], v["r_t"], u=u, p=p,
+                  grad=grad),
+              uses_u=True),
+)}
+
+
+def model_kind(name: str) -> ModelKind:
+    try:
+        return MODEL_KINDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown model kind {name!r}; known: {sorted(MODEL_KINDS)}"
+        ) from None
+
+
 def score_for_loss(kind: ModelKind | str, vecs: dict[str, np.ndarray],
                    p: int = 1, u: float = 0.0, grad: bool = True):
-    """Unified "lower is better" adapter.
+    """Unified "lower is better" adapter: :meth:`ModelKind.score`.
 
     Distance models return their distance; bilinear models return the
     negated score, so the margin loss treats all kinds identically.  ``vecs``
@@ -241,42 +271,8 @@ def score_for_loss(kind: ModelKind | str, vecs: dict[str, np.ndarray],
     kind declares.  Gradients of unused inputs are simply absent (identically
     zero); with ``grad=False`` all of them are.
     """
-    if isinstance(kind, str):
-        kind = model_kind(kind)
-    name = kind.name
-    if name == "transe":
-        return transe_distance(vecs["h"], vecs["r"], vecs["t"], p, grad)
-    if name == "rotate":
-        return rotate_distance(vecs["h"], vecs["r"], vecs["t"], p, grad)
-    if name == "pairre":
-        return pairre_distance(vecs["h"], vecs["r_h"], vecs["r_t"], vecs["t"],
-                               p, grad)
-    if name == "triplere":
-        return triplere_distance(
-            vecs["h"], vecs["r_h"], vecs["r"], vecs["r_t"], vecs["t"], version=1,
-            p=p, grad=grad,
-        )
-    if name == "triplere2":
-        return triplere_distance(
-            vecs["h"], vecs["r_h"], vecs["r"], vecs["r_t"], vecs["t"],
-            u=u, version=2, p=p, grad=grad,
-        )
-    if name == "interht":
-        return interht_distance(
-            vecs["h"], vecs["r"], vecs["t"], vecs["h_a"], vecs["t_a"], p, grad
-        )
-    if name == "interht_plus":
-        return interht_plus_distance(
-            vecs["h"], vecs["r"], vecs["t"], vecs["r_h"], vecs["r_t"], u=u, p=p,
-            grad=grad,
-        )
-    if name == "distmult":
-        s, grads = distmult_score(vecs["h"], vecs["r"], vecs["t"], grad)
-        return -s, {k: -g for k, g in grads.items()}
-    if name == "complex":
-        s, grads = complex_score(vecs["h"], vecs["r"], vecs["t"], grad)
-        return -s, {k: -g for k, g in grads.items()}
-    raise ValueError(f"unknown model kind {name!r}")
+    return (model_kind(kind) if isinstance(kind, str) else kind).score(
+        vecs, p, u, grad)
 
 
 def entity_vec_names(kind: ModelKind) -> tuple[str, ...]:

@@ -26,6 +26,7 @@ from scipy.special import expit
 from .data import TripleStore
 from .model import KgeModel, TokenLayout, build_model
 from .scoring import model_kind
+from .segments import RowGroups
 
 log = logging.getLogger(__name__)
 
@@ -133,6 +134,8 @@ class GradBuffer:
     def finalize(self, frozen_rows: dict[str, int] | None = None) -> dict:
         """Merge duplicates and drop all-zero and frozen rows.
 
+        A table given as one chunk of strictly increasing ids (lookup-mode
+        entity rows, already summed per entity) is not merged again.
         Returns {name: ("dense", array) | ("rows", ids, rows)}.
         """
         frozen_rows = frozen_rows or {}
@@ -140,11 +143,12 @@ class GradBuffer:
             name: ("dense", g) for name, g in self.dense.items()
         }
         for name, chunks in self._row_ids.items():
-            ids = np.concatenate(chunks)
-            rows = np.concatenate(self._row_vals[name])
-            uniq, inv = np.unique(ids, return_inverse=True)
-            summed = np.zeros((len(uniq), rows.shape[1]), dtype=rows.dtype)
-            np.add.at(summed, inv, rows)
+            vals = self._row_vals[name]
+            if len(chunks) == 1 and (np.diff(chunks[0]) > 0).all():
+                uniq, summed = chunks[0], vals[0]
+            else:
+                groups = RowGroups(np.concatenate(chunks))
+                uniq, summed = groups.ids, groups.sum(np.concatenate(vals))
             keep = summed.any(axis=1)
             if name in frozen_rows:
                 keep &= uniq != frozen_rows[name]
@@ -185,34 +189,39 @@ def sample_negatives(store: TripleStore, batch: np.ndarray, k: int,
     if clash.any():
         neg[clash] = rng.integers(0, e, size=int(clash.sum()), dtype=np.int64)
     if filter_train:
-        h = np.broadcast_to(batch[:, 0:1], (b, k))
-        r = np.broadcast_to(batch[:, 1:2], (b, k))
-        t = np.broadcast_to(batch[:, 2:3], (b, k))
+        # a clean draw is never redrawn, so after the first round only the
+        # redrawn positions (flat, in increasing order) are checked again
+        flat = neg.reshape(-1)
+        pos = np.arange(b * k)
         for _ in range(64):
+            row = batch[pos // k]
             if side == "tail":
-                bad = store.train_triple_mask(h.ravel(), r.ravel(), neg.ravel())
+                bad = store.train_triple_mask(row[:, 0], row[:, 1], flat[pos])
             else:
-                bad = store.train_triple_mask(neg.ravel(), r.ravel(), t.ravel())
-            bad = bad.reshape(b, k)
-            if not bad.any():
+                bad = store.train_triple_mask(flat[pos], row[:, 1], row[:, 2])
+            pos = pos[bad]
+            if not len(pos):
                 break
-            neg[bad] = rng.integers(0, e, size=int(bad.sum()), dtype=np.int64)
+            flat[pos] = rng.integers(0, e, size=len(pos), dtype=np.int64)
         else:
             log.warning("negative filtering gave up; some train triples remain")
     return neg, side
 
 
 def self_adversarial_weights(neg_d: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-negative weights along the last axis.
+    """Per-negative weights along the last axis, in the floating dtype of
+    ``neg_d`` (float64 for integer input).
 
     alpha=0 gives uniform 1/k.  Otherwise softmax(alpha * (gamma - d)); the
     margin shifts every logit equally, so it cancels and is not a parameter
     here.  Treated as constants: no gradient flows through the weights.
     """
+    neg_d = np.asarray(neg_d)
+    dtype = np.result_type(neg_d.dtype, np.float32)
     k = neg_d.shape[-1]
     if alpha == 0.0:
-        return np.full_like(neg_d, 1.0 / k, dtype=np.float64)
-    z = -alpha * np.asarray(neg_d, dtype=np.float64)
+        return np.full(neg_d.shape, 1.0 / k, dtype=dtype)
+    z = -alpha * neg_d.astype(dtype, copy=False)
     z = z - z.max(axis=-1, keepdims=True)
     ez = np.exp(z)
     return ez / ez.sum(axis=-1, keepdims=True)
@@ -225,40 +234,37 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def loss_and_grads(model: KgeModel, batch: np.ndarray, negatives: np.ndarray,
                    side: str, gamma: float, alpha: float):
-    """Mean batch loss and its gradients as an unfinalized GradBuffer."""
+    """Mean batch loss and its gradients as an unfinalized GradBuffer.
+
+    One entity gather, one kernel call and one segment-sum per entity
+    table.  The corrupted side is a [b, 1+k] id array with the gold entity
+    in column 0 and the negatives after it; the other side and the
+    relation stay [b, 1] and broadcast, so column 0 of the distances is
+    d_pos and the rest is d_neg.  Everything stays in the model's dtype.
+    """
     if side not in ("head", "tail"):
         raise ValueError(f"side must be head or tail, got {side!r}")
     b, k = negatives.shape
     h_ids, r_ids, t_ids = batch[:, 0], batch[:, 1], batch[:, 2]
-
-    all_ids = np.concatenate([h_ids, t_ids, negatives.reshape(-1)])
-    uniq, inv = np.unique(all_ids, return_inverse=True)
-    base_u, aux_u, cache = model.encode_entities(uniq)
-    iv_h, iv_t = inv[:b], inv[b:2 * b]
-    iv_n = inv[2 * b:].reshape(b, k)
+    if side == "tail":
+        fix, cor, fixed_ids, gold_ids = "h", "t", h_ids, t_ids
+    else:
+        fix, cor, fixed_ids, gold_ids = "t", "h", t_ids, h_ids
+    corrupted = np.concatenate([gold_ids[:, None], negatives], axis=1)
+    groups = RowGroups(np.concatenate([fixed_ids, corrupted.reshape(-1)]))
+    base_u, aux_u, cache = model.encode_entities(groups.ids)
+    iv_fix = groups.inverse[:b, None]                 # [b, 1]
+    iv_cor = groups.inverse[b:].reshape(b, k + 1)     # [b, 1+k]
 
     kind = model.kind
-    rel = model.relation_vecs(r_ids)
-    pos = {"h": base_u[iv_h], "t": base_u[iv_t], **rel}
-    if kind.uses_aux:
-        pos["h_a"] = aux_u[iv_h]
-        pos["t_a"] = aux_u[iv_t]
-    neg = {part: v[:, None, :] for part, v in rel.items()}
-    if side == "tail":
-        neg["h"] = pos["h"][:, None, :]
-        neg["t"] = base_u[iv_n]
-        if kind.uses_aux:
-            neg["h_a"] = pos["h_a"][:, None, :]
-            neg["t_a"] = aux_u[iv_n]
-    else:
-        neg["h"] = base_u[iv_n]
-        neg["t"] = pos["t"][:, None, :]
-        if kind.uses_aux:
-            neg["h_a"] = aux_u[iv_n]
-            neg["t_a"] = pos["t_a"][:, None, :]
-
-    d_pos, g_pos = model.score(pos)
-    d_neg, g_neg = model.score(neg)
+    suffixes = ("", "_a") if kind.uses_aux else ("",)
+    vecs = {part: v[:, None, :]
+            for part, v in model.relation_vecs(r_ids).items()}
+    for suffix, table in zip(suffixes, (base_u, aux_u)):
+        vecs[fix + suffix] = table[iv_fix]
+        vecs[cor + suffix] = table[iv_cor]
+    d, g = model.score(vecs)
+    d_pos, d_neg = d[:, 0], d[:, 1:]
 
     w = self_adversarial_weights(d_neg, alpha)
     per_pos = _softplus(gamma - d_pos) + (w * _softplus(d_neg - gamma)).sum(axis=1)
@@ -270,41 +276,30 @@ def loss_and_grads(model: KgeModel, batch: np.ndarray, negatives: np.ndarray,
         )
     loss = float(per_pos.mean())
 
-    dd_pos = expit(d_pos - gamma) / b                     # [b]
-    dd_neg = -(w * expit(gamma - d_neg)) / b              # [b, k]
+    dd = np.empty_like(d)                              # d loss / d d
+    dd[:, 0] = expit(d_pos - gamma) / b
+    dd[:, 1:] = -(w * expit(gamma - d_neg)) / b
 
-    d_base_u = np.zeros_like(base_u)
-    d_aux_u = np.zeros_like(aux_u) if kind.uses_aux else None
+    def summed(grad):
+        """sum_j dd[i, j] * grad[i, j]: [b, w], one batched matmul."""
+        grad = np.broadcast_to(grad, d.shape + grad.shape[-1:])
+        return np.matmul(dd[:, None, :], grad)[:, 0]
 
-    def scatter(dest, iv, g):
-        np.add.at(dest, iv, g)
+    # entity-gradient rows in the order of the grouped ids: the fixed
+    # side's [b] rows (summed over its 1+k scores), then the [b, 1+k] rows
+    rows = np.empty((len(groups.inverse), base_u.shape[1]), dtype=d.dtype)
 
-    scatter(d_base_u, iv_h, g_pos["h"] * dd_pos[:, None])
-    scatter(d_base_u, iv_t, g_pos["t"] * dd_pos[:, None])
-    if kind.uses_aux:
-        scatter(d_aux_u, iv_h, g_pos["h_a"] * dd_pos[:, None])
-        scatter(d_aux_u, iv_t, g_pos["t_a"] * dd_pos[:, None])
-    gn = dd_neg[..., None]
-    if side == "tail":
-        scatter(d_base_u, iv_h, (g_neg["h"] * gn).sum(axis=1))
-        scatter(d_base_u, iv_n, g_neg["t"] * gn)
-        if kind.uses_aux:
-            scatter(d_aux_u, iv_h, (g_neg["h_a"] * gn).sum(axis=1))
-            scatter(d_aux_u, iv_n, g_neg["t_a"] * gn)
-    else:
-        scatter(d_base_u, iv_n, g_neg["h"] * gn)
-        scatter(d_base_u, iv_t, (g_neg["t"] * gn).sum(axis=1))
-        if kind.uses_aux:
-            scatter(d_aux_u, iv_n, g_neg["h_a"] * gn)
-            scatter(d_aux_u, iv_t, (g_neg["t_a"] * gn).sum(axis=1))
+    def entity_grad(suffix):
+        rows[:b] = summed(g[fix + suffix])
+        np.multiply(g[cor + suffix], dd[..., None],
+                    out=rows[b:].reshape(b, k + 1, -1))
+        return groups.sum(rows)
 
     buf = GradBuffer()
-    model.entity_backward(cache, d_base_u, d_aux_u, buf)
-    d_parts = {}
-    for part in kind.rel_parts:
-        d_parts[part] = (g_pos[part] * dd_pos[:, None]
-                         + (g_neg[part] * gn).sum(axis=1))
-    model.relation_backward(r_ids, d_parts, buf)
+    model.entity_backward(cache, entity_grad(""),
+                          entity_grad("_a") if kind.uses_aux else None, buf)
+    model.relation_backward(
+        r_ids, {part: summed(g[part]) for part in kind.rel_parts}, buf)
     return loss, buf
 
 
@@ -353,18 +348,31 @@ def adam_step(params: dict[str, np.ndarray], grads: dict, state: AdamState,
             if not len(rows):
                 continue
             gval = gval.reshape((len(rows),) + p.shape[1:])
-        m, v = state.m[name], state.v[name]
+        m, v, counts = state.m[name], state.v[name], state.counts[name]
         if p.ndim > 1:
-            state.counts[name][rows] += 1
-            tc = state.counts[name][rows][:, None].astype(np.float64)
+            c = counts[rows] + 1
+            counts[rows] = c
+            tc = c[:, None].astype(np.float64)
         else:
-            state.counts[name][0] += 1
-            tc = float(state.counts[name][0])
-        m[rows] = beta1 * m[rows] + (1.0 - beta1) * gval
-        v[rows] = beta2 * v[rows] + (1.0 - beta2) * gval * gval
-        mhat = m[rows] / (1.0 - beta1 ** tc)
-        vhat = v[rows] / (1.0 - beta2 ** tc)
-        params[name][rows] = p[rows] - lr * mhat / (np.sqrt(vhat) + eps)
+            counts[0] += 1
+            tc = float(counts[0])
+        # rounded to the table dtype, as storing them does, so that mhat
+        # and vhat see the stored values
+        m_rows = (beta1 * m[rows] + (1.0 - beta1) * gval).astype(m.dtype,
+                                                                 copy=False)
+        v_rows = (beta2 * v[rows] + (1.0 - beta2) * gval * gval).astype(
+            v.dtype, copy=False)
+        m[rows] = m_rows
+        v[rows] = v_rows
+        mhat = m_rows / (1.0 - beta1 ** tc)
+        vhat = v_rows / (1.0 - beta2 ** tc)
+        # p - lr * mhat / (sqrt(vhat) + eps), one operation at a time in
+        # place: the same roundings without [rows, d] temporaries
+        np.sqrt(vhat, out=vhat)
+        vhat += eps
+        mhat *= lr
+        mhat /= vhat
+        params[name][rows] = np.subtract(p[rows], mhat, out=mhat)
 
 
 @dataclass

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgembed.data import (Query, TripleFormatError, TripleStore,
-                          build_adjacency, filtered_candidates, load_triples)
+                          _stable_order, build_adjacency, filtered_candidates,
+                          load_triples)
 
 from conftest import random_store, store_from_arrays, triples_text
 
@@ -130,6 +131,37 @@ class TestAdjacency:
             got = list(zip(*map(list, store.out_neighbors(v)))) if len(
                 store.out_neighbors(v)[0]) else []
             assert got == expect_out
+
+    @settings(max_examples=60, deadline=None)
+    @given(ne=st.integers(1, 9), nr=st.integers(1, 4),
+           n=st.integers(1, 40), dups=st.integers(0, 15),
+           seed=st.integers(0, 2**16))
+    def test_csr_matches_lexsort_with_duplicates(self, ne, nr, n, dups, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.column_stack([rng.integers(0, ne, n), rng.integers(0, nr, n),
+                                rng.integers(0, ne, n)])
+        rows = np.concatenate([rows, rows[rng.integers(0, n, dups)]])
+        store = store_from_arrays(rows, num_entities=ne, num_relations=nr)
+        h, r, t = (store.splits["train"][:, i] for i in range(3))
+        order = np.lexsort((r, h, t))
+        np.testing.assert_array_equal(store.in_nbr, h[order])
+        np.testing.assert_array_equal(store.in_rel, r[order])
+        order = np.lexsort((r, t, h))
+        np.testing.assert_array_equal(store.out_nbr, t[order])
+        np.testing.assert_array_equal(store.out_rel, r[order])
+        np.testing.assert_array_equal(
+            np.diff(store.in_ptr), np.bincount(t, minlength=ne))
+        np.testing.assert_array_equal(
+            np.diff(store.out_ptr), np.bincount(h, minlength=ne))
+
+    @pytest.mark.parametrize("ne, nr", [(5, 3), (2**20, 1000), (2**31, 8)])
+    def test_packed_order_is_lexsort_order(self, ne, nr):
+        # the last case does not fit a packed int64 key and takes lexsort
+        rng = np.random.default_rng(12)
+        node, nbr = (ne - 1 - rng.integers(0, 4, 300) for _ in range(2))
+        r = nr - 1 - rng.integers(0, min(nr, 3), 300)
+        np.testing.assert_array_equal(_stable_order(node, nbr, r, ne, nr),
+                                      np.lexsort((r, nbr, node)))
 
     def test_degrees(self):
         store = store_from_arrays([(0, 0, 1), (0, 0, 2), (2, 0, 0)])
