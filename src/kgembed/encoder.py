@@ -13,15 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .segments import RowGroups
 
 SEG_ANCHOR, SEG_IN, SEG_OUT, SEG_CENTER = 0, 1, 2, 3
 NUM_SEGMENTS = 4
 
-# Python floats, not numpy scalars: they keep float32 activations float32.
-_SQRT2 = math.sqrt(2.0)
+# A Python float, not a numpy scalar: it keeps float32 activations float32.
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # weight names by combiner mode; "tok" rows are updated sparsely
@@ -41,14 +40,17 @@ class EncoderConfig:
     combiner: str = "transformer"  # "transformer" | "mean"
 
     def __post_init__(self):
+        if self.combiner not in ("transformer", "mean"):
+            raise ValueError(f"unknown combiner {self.combiner!r}")
+        for name in ("d_tok", "heads", "ffn_mult", "out_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}"
+                )
         if self.combiner == "transformer" and self.d_tok % self.heads:
             raise ValueError(
                 f"d_tok={self.d_tok} not divisible by heads={self.heads}"
             )
-        if self.out_dim <= 0:
-            raise ValueError("out_dim must be positive")
-        if self.combiner not in ("transformer", "mean"):
-            raise ValueError(f"unknown combiner {self.combiner!r}")
 
 
 def init_encoder_params(cfg: EncoderConfig, vocab_size: int,
@@ -81,19 +83,24 @@ def init_encoder_params(cfg: EncoderConfig, vocab_size: int,
     return {k: np.asarray(v, dtype=dtype) for k, v in params.items()}
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """[b, t, d] -> a [b, heads, t, d/heads] view."""
+    b, t, d = a.shape
+    return a.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _gelu_grad(x):
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
+def _row_mean(a):
+    """Mean over the last axis, kept as a length-1 axis, by one BLAS
+    matrix-vector product: numpy's own reduction along many rows of a few
+    dozen entries took about twice as long."""
+    d = a.shape[-1]
+    return (a @ np.full(d, 1.0 / d, dtype=a.dtype))[..., None]
 
 
 def _layernorm_fwd(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    xhat = xc * inv
+    xhat = x - _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
+    xhat *= inv
     return xhat * gamma + beta, (xhat, inv)
 
 
@@ -102,11 +109,9 @@ def _layernorm_bwd(dout, cache, gamma):
     dgamma = (dout * xhat).reshape(-1, dout.shape[-1]).sum(axis=0)
     dbeta = dout.reshape(-1, dout.shape[-1]).sum(axis=0)
     dxhat = dout * gamma
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = dxhat - _row_mean(dxhat)
+    dx -= xhat * _row_mean(dxhat * xhat)
+    dx *= inv
     return dx, dgamma, dbeta
 
 
@@ -123,12 +128,27 @@ def embed_tokens(params: dict, ids: np.ndarray, seg: np.ndarray,
     return x * mask[..., None]
 
 
+def _matmul_swap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a @ b).swapaxes(1, 2)`` for ``[b, h, m, k] @ [b, h, k, n]``,
+    written by the batched matmul straight into a contiguous
+    ``[b, m, h, n]`` array."""
+    out = np.empty((a.shape[0], a.shape[2], a.shape[1], b.shape[3]),
+                   dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.swapaxes(1, 2))
+    return out
+
+
 def transformer_block(params: dict, cfg: EncoderConfig, x: np.ndarray,
                       mask: np.ndarray):
     """Pre-norm block: x + MHA(LN(x)), then + FFN(LN(.)).
 
     Pad positions are excluded from attention by -inf logits; at
-    least one real token per row is required.
+    least one real token per row is required.  Heads are a batch axis of
+    ``[b, h, t, dh]`` views.  The attention scores are stored key-major
+    as ``[b, s, h, t]``: the mask is a boolean index over (b, s) and the
+    softmax reduces across rows of h*t queries.  The cache keeps the
+    normal CDF of the FFN pre-activation, from which the backward rebuilds
+    both GELU and its derivative.
     """
     b, t, dt = x.shape
     if not mask.any(axis=1).all():
@@ -136,25 +156,28 @@ def transformer_block(params: dict, cfg: EncoderConfig, x: np.ndarray,
     heads, dh = cfg.heads, dt // cfg.heads
 
     x1, ln1c = _layernorm_fwd(x, params["ln1_g"], params["ln1_b"])
-    qh = (x1 @ params["wq"]).reshape(b, t, heads, dh)
-    kh = (x1 @ params["wk"]).reshape(b, t, heads, dh)
-    vh = (x1 @ params["wv"]).reshape(b, t, heads, dh)
-    logits = np.einsum("bthd,bshd->bhts", qh, kh) / math.sqrt(dh)
-    logits = np.where(mask[:, None, None, :], logits, -np.inf)
-    w = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("bhts,bshd->bthd", w, vh).reshape(b, t, dt)
-    attn = ctx @ params["wo"]
-    y1 = x + attn
+    q = x1 @ params["wq"]
+    q *= 1.0 / math.sqrt(dh)    # the score scale, folded into q
+    qh = _split_heads(q, heads)
+    kh = _split_heads(x1 @ params["wk"], heads)
+    vh = _split_heads(x1 @ params["wv"], heads)
+    scores = _matmul_swap(kh, qh.transpose(0, 1, 3, 2))
+    scores[~mask] = -np.inf
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    w = scores.transpose(0, 2, 3, 1)
+    ctx = _matmul_swap(w, vh).reshape(b, t, dt)
+    y1 = x + ctx @ params["wo"]
 
     x2, ln2c = _layernorm_fwd(y1, params["ln2_g"], params["ln2_b"])
     pre = x2 @ params["w1"] + params["b1"]
-    hf = _gelu(pre)
-    y = y1 + hf @ params["w2"] + params["b2"]
+    cdf = ndtr(pre)
+    y = y1 + (pre * cdf) @ params["w2"] + params["b2"]
 
     cache = {
         "x1": x1, "ln1": ln1c, "qh": qh, "kh": kh, "vh": vh, "w": w,
-        "ctx": ctx, "x2": x2, "ln2": ln2c, "pre": pre, "hf": hf,
+        "ctx": ctx, "x2": x2, "ln2": ln2c, "pre": pre, "cdf": cdf,
         "shape": (b, t, dt),
     }
     return y, cache
@@ -168,35 +191,53 @@ def transformer_block_backward(params: dict, cfg: EncoderConfig, cache: dict,
         raise ValueError(f"upstream shape {dy.shape} != cached {(b, t, dt)}")
     heads, dh = cfg.heads, dt // cfg.heads
     g: dict[str, np.ndarray] = {}
+    dy2 = dy.reshape(-1, dt)
 
-    # FFN branch
-    dhf = dy @ params["w2"].T
-    g["w2"] = cache["hf"].reshape(-1, cache["hf"].shape[-1]).T @ dy.reshape(-1, dt)
-    g["b2"] = dy.reshape(-1, dt).sum(axis=0)
-    dpre = dhf * _gelu_grad(cache["pre"])
-    g["w1"] = cache["x2"].reshape(-1, dt).T @ dpre.reshape(-1, dpre.shape[-1])
-    g["b1"] = dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)
-    dx2 = dpre @ params["w1"].T
-    dln2, g["ln2_g"], g["ln2_b"] = _layernorm_bwd(dx2, cache["ln2"], params["ln2_g"])
+    # FFN branch: GELU(pre) = pre * cdf, GELU'(pre) = cdf + pre * pdf(pre)
+    pre, cdf = cache["pre"], cache["cdf"]
+    f = pre.shape[-1]
+    g["w2"] = (pre * cdf).reshape(-1, f).T @ dy2
+    g["b2"] = dy2.sum(axis=0)
+    gelu_grad = pre * pre
+    gelu_grad *= -0.5
+    np.exp(gelu_grad, out=gelu_grad)
+    gelu_grad *= _INV_SQRT2PI
+    gelu_grad *= pre
+    gelu_grad += cdf
+    dpre = dy @ params["w2"].T
+    dpre *= gelu_grad
+    dpre2 = dpre.reshape(-1, f)
+    g["w1"] = cache["x2"].reshape(-1, dt).T @ dpre2
+    g["b1"] = dpre2.sum(axis=0)
+    dln2, g["ln2_g"], g["ln2_b"] = _layernorm_bwd(
+        dpre @ params["w1"].T, cache["ln2"], params["ln2_g"]
+    )
     dy1 = dy + dln2
 
-    # attention branch
-    g["wo"] = cache["ctx"].reshape(-1, dt).T @ dy1.reshape(-1, dt)
-    dctx = (dy1 @ params["wo"].T).reshape(b, t, heads, dh)
-    w = cache["w"]
-    dw = np.einsum("bthd,bshd->bhts", dctx, cache["vh"])
-    dvh = np.einsum("bhts,bthd->bshd", w, dctx)
-    dlogits = w * (dw - (w * dw).sum(axis=-1, keepdims=True))
-    dqh = np.einsum("bhts,bshd->bthd", dlogits, cache["kh"]) / math.sqrt(dh)
-    dkh = np.einsum("bhts,bthd->bshd", dlogits, cache["qh"]) / math.sqrt(dh)
+    # attention branch; the weights and their gradient are [b, s, h, t].
+    # The softmax backward subtracts sum_s w*dw from dw; that sum is
+    # ctx . dctx for each query and head, because ctx = sum_s w * v.
+    ctx = cache["ctx"]
+    g["wo"] = ctx.reshape(-1, dt).T @ dy1.reshape(-1, dt)
+    dctx = dy1 @ params["wo"].T
+    w = cache["w"].transpose(0, 3, 1, 2)
+    dctx_h = _split_heads(dctx, heads)
+    dscores = _matmul_swap(cache["vh"], dctx_h.transpose(0, 1, 3, 2))
+    dscores -= np.einsum("bthd,bthd->bht", ctx.reshape(b, t, heads, dh),
+                         dctx.reshape(b, t, heads, dh))[:, None]
+    dscores *= w
+    ds = dscores.transpose(0, 2, 1, 3)      # [b, h, s, t]
+    dq = _matmul_swap(ds.transpose(0, 1, 3, 2), cache["kh"]).reshape(-1, dt)
+    dq *= 1.0 / math.sqrt(dh)
+    dk = _matmul_swap(ds, cache["qh"]).reshape(-1, dt)    # qh is scaled
+    dv = _matmul_swap(w.transpose(0, 2, 1, 3), dctx_h).reshape(-1, dt)
     x1f = cache["x1"].reshape(-1, dt)
-    dq = dqh.reshape(-1, dt)
-    dk = dkh.reshape(-1, dt)
-    dv = dvh.reshape(-1, dt)
     g["wq"] = x1f.T @ dq
     g["wk"] = x1f.T @ dk
     g["wv"] = x1f.T @ dv
-    dx1 = dq @ params["wq"].T + dk @ params["wk"].T + dv @ params["wv"].T
+    dx1 = dq @ params["wq"].T
+    dx1 += dk @ params["wk"].T
+    dx1 += dv @ params["wv"].T
     dln1, g["ln1_g"], g["ln1_b"] = _layernorm_bwd(
         dx1.reshape(b, t, dt), cache["ln1"], params["ln1_g"]
     )

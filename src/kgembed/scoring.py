@@ -273,7 +273,3 @@ def score_for_loss(kind: ModelKind | str, vecs: dict[str, np.ndarray],
     """
     return (model_kind(kind) if isinstance(kind, str) else kind).score(
         vecs, p, u, grad)
-
-
-def entity_vec_names(kind: ModelKind) -> tuple[str, ...]:
-    return ("h", "t", "h_a", "t_a") if kind.uses_aux else ("h", "t")

@@ -382,7 +382,7 @@ class Checkpoint:
     opt: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-_DTYPE_TAGS = {"<f4": "<f4", "<f8": "<f8", "<i8": "<i8"}
+_DTYPE_TAGS = ("<f4", "<f8", "<i8")
 
 
 def _tag_of(arr: np.ndarray) -> str:

@@ -258,6 +258,29 @@ class TestTrain:
         report = json.loads(captured.out)
         assert 0.0 < report["mrr"] <= 1.0 and report["count"] == 2
 
+    @pytest.mark.parametrize("setting, message", [
+        ("heads=0", "heads must be positive"),
+        ("heads=-2", "heads must be positive"),
+        ("d_tok=-8", "d_tok must be positive"),
+        ("ffn_mult=0", "ffn_mult must be positive"),
+    ])
+    def test_bad_encoder_size_exits_2(self, tmp_path, capsys, setting,
+                                      message):
+        store = ingest_line_store(tmp_path)
+        cache = tmp_path / "tokens.bin"
+        assert cli.main(["tokenize", "--set", f"data={store}",
+                         "--set", f"token_cache={cache}",
+                         "--set", "anchors=2", "--set", "k_anc=2",
+                         "--set", "k_in=1", "--set", "k_out=1"]) == 0
+        capsys.readouterr()
+        rc = cli.main(self.train_args(store, tmp_path, [
+            "--set", "tokenized=true", "--set", f"token_cache={cache}",
+            "--set", "model=interht", "--set", "dim=4", "--set", "d_tok=8",
+            "--set", "heads=2", "--set", setting,
+        ]))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEval:
     def test_perfect_model_scores_one(self, tmp_path, capsys):

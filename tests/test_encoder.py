@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from kgembed import encoder as enc
+
+import encoder_oracle
 
 
 def tiny_cfg(**kw):
@@ -137,6 +140,72 @@ class TestTransformerBlock:
         with pytest.raises(ValueError, match="padded"):
             enc.transformer_block(params, cfg, np.zeros((1, 2, 8)),
                                   np.zeros((1, 2), dtype=bool))
+
+
+@st.composite
+def block_cases(draw):
+    """A block, a padded batch and an upstream gradient.  Some rows hold a
+    single real token; gains and biases are moved off their initial values
+    so every weight gradient is exercised."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    cfg = tiny_cfg(d_tok=draw(st.sampled_from([4, 8, 12])), heads=heads)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = enc.init_encoder_params(cfg, 3, rng, dtype=np.float64)
+    for name in ("b1", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"):
+        params[name] = params[name] + 0.1 * rng.normal(size=params[name].shape)
+    params = {k: v.astype(dtype) for k, v in params.items()}
+    b = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 9))
+    mask = rng.random((b, t)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    single = np.array(draw(st.lists(st.booleans(), min_size=b, max_size=b)))
+    mask[single] = False
+    mask[np.arange(b), rng.integers(0, t, b)] = True
+    x = (rng.normal(size=(b, t, cfg.d_tok)) * mask[..., None]).astype(dtype)
+    dy = rng.normal(size=(b, t, cfg.d_tok)).astype(dtype)
+    return params, cfg, x, mask, dy
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=block_cases())
+def test_block_matches_einsum_oracle(case):
+    """Output, dx and every weight gradient agree with the einsum block.
+    Gradients that vanish (one real token per row) are pure rounding in
+    both, so the absolute tolerance scales with the largest entry."""
+    params, cfg, x, mask, dy = case
+    rtol = 1e-10 if x.dtype == np.float64 else 2e-4
+    y, cache = enc.transformer_block(params, cfg, x, mask)
+    dx, grads = enc.transformer_block_backward(params, cfg, cache, dy)
+    want_y, want_cache = encoder_oracle.transformer_block(params, cfg, x, mask)
+    want_dx, want_grads = encoder_oracle.transformer_block_backward(
+        params, cfg, want_cache, dy)
+    assert grads.keys() == want_grads.keys()
+    pairs = [("y", y, want_y), ("dx", dx, want_dx)]
+    pairs += [(k, grads[k], want_grads[k]) for k in sorted(want_grads)]
+    for name, got, want in pairs:
+        assert got.dtype == x.dtype, name
+        np.testing.assert_allclose(
+            got, want, rtol=rtol, atol=rtol * max(1.0, np.abs(want).max()),
+            err_msg=name)
+
+
+def test_block_cache_matches_oracle_size():
+    """Caching the normal CDF in place of the GELU output keeps the cache
+    the size it was."""
+    cfg = tiny_cfg()
+    params = make_params(cfg, seed=20)
+    rng = np.random.default_rng(21)
+    mask = np.array([[True, True, False, True], [True, False, False, False]])
+    x = rng.normal(size=(2, 4, 8)) * mask[..., None]
+
+    def nbytes(cache):
+        arrays = [v for v in cache.values() if isinstance(v, np.ndarray)]
+        arrays += list(cache["ln1"]) + list(cache["ln2"])
+        return sum(a.nbytes for a in arrays)
+
+    _, cache = enc.transformer_block(params, cfg, x, mask)
+    _, want = encoder_oracle.transformer_block(params, cfg, x, mask)
+    assert nbytes(cache) == nbytes(want)
 
 
 class TestBlockBackward:
@@ -300,6 +369,15 @@ class TestConfig:
 
     def test_mean_combiner_skips_divisibility(self):
         enc.EncoderConfig(d_tok=10, heads=4, out_dim=4, combiner="mean")
+
+    @pytest.mark.parametrize("combiner", ["transformer", "mean"])
+    @pytest.mark.parametrize("field, value", [
+        ("heads", 0), ("heads", -2), ("d_tok", 0), ("d_tok", -8),
+        ("ffn_mult", 0), ("ffn_mult", -1), ("out_dim", 0),
+    ])
+    def test_sizes_must_be_positive(self, field, value, combiner):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            tiny_cfg(combiner=combiner, **{field: value})
 
     def test_bad_combiner(self):
         with pytest.raises(ValueError, match="combiner"):

@@ -602,6 +602,27 @@ class TestTrainLoop:
         assert (tmp_path / "a" / "final.ckpt").read_bytes() == \
             (tmp_path / "b" / "final.ckpt").read_bytes()
 
+    def test_two_tokenized_runs_bit_identical(self, tmp_path):
+        from kgembed import anchors as anc
+        store = random_store(14, 3, 70, seed=64)
+        tg, _ = anc.tokenize_all(store, anc.select_global_anchors(store, 4),
+                                 3, 2, 2)
+        cfg = self.small_cfg(model="interht_plus", dim=4, tokenized=True,
+                             d_tok=8, heads=2, combiner="transformer",
+                             steps_max=12, log_every=4, batch_size=16,
+                             neg_size=4)
+        logs = []
+        for sub in ("a", "b"):
+            records = []
+            final = tr.train_loop(store, cfg, tokens=tg, sink=records.append,
+                                  checkpoint_dir=tmp_path / sub)
+            assert final.params["tok"].dtype == np.float32
+            assert [r["step"] for r in records] == [4, 8, 12]
+            logs.append(json.dumps(records, sort_keys=True))
+        assert logs[0] == logs[1]
+        assert (tmp_path / "a" / "final.ckpt").read_bytes() == \
+            (tmp_path / "b" / "final.ckpt").read_bytes()
+
     def test_validation_runs_and_keeps_best(self, tmp_path):
         store = random_store(15, 3, 80, seed=60, splits=(0.75, 0.25, 0.0))
         cfg = self.small_cfg(steps_max=40, valid_every=20)
