@@ -25,7 +25,6 @@ from . import anchors as anc
 from . import gradcheck
 from .data import TripleStore, build_adjacency, load_triples
 from .evaluation import evaluate_split, load_candidate_sets
-from .scoring import MODEL_KINDS
 from .training import (TrainConfig, load_checkpoint, model_from_checkpoint,
                        train_loop)
 
@@ -48,29 +47,10 @@ class _Required:
 
 REQUIRED = _Required()
 
-# key -> (type, default, help)
+# key -> (type, default, help); the training keys are TrainConfig's fields
 CONFIG_KEYS: dict[str, tuple[type, object, str]] = {
-    "model": (str, "interht", "scoring kind: " + " ".join(sorted(MODEL_KINDS))),
-    "dim": (int, 200, "entity embedding width"),
-    "p": (int, 1, "residual norm order, 1 or 2"),
-    "u": (float, 0.0, "constant interaction scalar (kinds that use it)"),
-    "gamma": (float, 10.0, "margin"),
-    "adv_alpha": (float, 1.0, "negative-weight temperature, 0 = uniform"),
-    "lr": (float, 5e-4, "Adam learning rate"),
-    "batch_size": (int, 512, "positives per step"),
-    "neg_size": (int, 128, "negatives per positive"),
-    "steps_max": (int, 500000, "training steps"),
-    "valid_every": (int, 20000, "validation interval in steps"),
-    "log_every": (int, 100, "loss log interval in steps"),
-    "corruption": (str, "both", "head | tail | both (alternates per step)"),
-    "filter_train_negatives": (bool, False, "resample negatives hitting train triples"),
-    "seed": (int, 0, "global RNG seed"),
-    "tokenized": (bool, False, "encode entities from token sets"),
-    "d_tok": (int, 0, "token embedding width, 0 = dim"),
-    "heads": (int, 4, "attention heads"),
-    "ffn_mult": (int, 2, "FFN expansion factor"),
-    "combiner": (str, "transformer", "transformer | mean"),
-    "use_center": (bool, True, "per-entity center token (off = shared row)"),
+    **{f.name: (type(f.default), f.default, f.metadata["help"])
+       for f in dataclass_fields(TrainConfig)},
     "anchors": (int, 20000, "global anchor count"),
     "anchor_strategy": (str, "degree", "degree | random"),
     "k_anc": (int, 20, "anchor slots per node"),
@@ -99,38 +79,21 @@ CONFIG_KEYS: dict[str, tuple[type, object, str]] = {
     "deterministic": (bool, True, "omit wall-clock fields so logs are byte-identical"),
 }
 
-# Presets pin every key so a run is fully described by preset + overrides.
-# gamma and adv_alpha have no established values at this scale and must be
-# given explicitly.
-_WIKIKG2_COMMON = {
-    "p": 1, "gamma": REQUIRED, "adv_alpha": REQUIRED,
-    "lr": 5e-4, "batch_size": 512, "neg_size": 128,
-    "steps_max": 500000, "valid_every": 20000, "log_every": 100,
-    "corruption": "both", "filter_train_negatives": False, "seed": 0,
-    "tokenized": True, "d_tok": 0, "heads": 4, "ffn_mult": 2,
-    "combiner": "transformer", "use_center": True,
-    "anchors": 20000, "anchor_strategy": "degree",
-    "k_anc": 20, "k_in": 5, "k_out": 5,
-    "data": "", "token_cache": "", "checkpoint_dir": "checkpoints",
-    "checkpoint": "", "out": "", "log_file": "",
-    "split": "test", "protocol": "filtered-full", "tie_policy": "mean",
-    "both_directions": True, "candidates_tail": "", "candidates_head": "",
-    "train_file": "", "valid_file": "", "test_file": "",
-    "format": "labels", "num_entities": 0, "num_relations": 0,
-    "gc_dim": 8, "gc_instances": 100,
-    "deterministic": True,
-}
+_DEFAULTS = {k: entry[1] for k, entry in CONFIG_KEYS.items()}
+
+
+def _wikikg2_preset(model: str, dim: int, u: float) -> dict:
+    """The defaults plus the preset's pins, so a run is fully described by
+    preset + overrides.  gamma and adv_alpha have no established values at
+    this scale and must be given explicitly."""
+    return {**_DEFAULTS, "gamma": REQUIRED, "adv_alpha": REQUIRED,
+            "tokenized": True, "model": model, "dim": dim, "u": u}
+
+
 PRESETS: dict[str, dict] = {
-    "interht-wikikg2": {
-        **_WIKIKG2_COMMON, "model": "interht", "dim": 200, "u": 0.0,
-    },
-    "interht-plus-wikikg2": {
-        **_WIKIKG2_COMMON, "model": "interht_plus", "dim": 512, "u": 0.05,
-    },
+    "interht-wikikg2": _wikikg2_preset("interht", 200, 0.0),
+    "interht-plus-wikikg2": _wikikg2_preset("interht_plus", 512, 0.05),
 }
-for _name, _p in PRESETS.items():
-    _missing = set(CONFIG_KEYS) - set(_p)
-    assert not _missing, f"preset {_name} missing keys {_missing}"
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -180,7 +143,7 @@ def resolve_config(preset: str | None = None, config_file: str | None = None,
                    sets: list[str] = (), env: dict | None = None):
     """Returns (config dict, set of keys given explicitly)."""
     env = os.environ if env is None else env
-    cfg = {k: entry[1] for k, entry in CONFIG_KEYS.items()}
+    cfg = dict(_DEFAULTS)
     explicit: set[str] = set()
     if preset is not None:
         if preset not in PRESETS:
@@ -313,11 +276,6 @@ def cmd_train(cfg: dict, explicit: set) -> int:
     store = _load_store(cfg)
     tc = train_config_from(cfg)
     tokens = _load_tokens(cfg) if tc.tokenized else None
-    if tokens is not None and tokens.num_entities != store.num_entities:
-        raise ConfigError(
-            f"token cache covers {tokens.num_entities} entities, "
-            f"store has {store.num_entities}"
-        )
     final = train_loop(
         store, tc, tokens=tokens, sink=_metric_sink(cfg),
         checkpoint_dir=cfg["checkpoint_dir"],

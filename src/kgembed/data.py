@@ -170,13 +170,6 @@ class TripleStore:
             self._keys[order] = keys
         return keys
 
-    def has_triple(self, h: int, r: int, t: int) -> bool:
-        """True iff (h, r, t) appears in at least one split."""
-        keys = self._sorted_keys("hrt")
-        key = self._pack(h, r, t)
-        i = np.searchsorted(keys, key)
-        return bool(i < len(keys) and keys[i] == key)
-
     def train_triple_mask(self, h, r, t) -> np.ndarray:
         """Vectorized membership in the train split."""
         train_keys = self._sorted_keys("train")
@@ -190,10 +183,6 @@ class TripleStore:
         mask = np.empty(len(keys), dtype=bool)
         mask[order] = train_keys[idx] == keys
         return mask
-
-    @property
-    def true_count(self) -> int:
-        return len(self._sorted_keys("hrt"))
 
     def completions(self, fixed, r, target: str) -> tuple[np.ndarray, np.ndarray]:
         """Known-true completions (any split) of a block of queries.
@@ -213,12 +202,6 @@ class TripleStore:
         first = np.cumsum(counts) - counts
         pos = np.arange(len(query)) - np.repeat(first - starts, counts)
         return query, keys[pos] - lo[query]
-
-    def tails_of(self, h: int, r: int) -> np.ndarray:
-        return self.completions([h], [r], "tail")[1]
-
-    def heads_of(self, r: int, t: int) -> np.ndarray:
-        return self.completions([t], [r], "head")[1]
 
     # -- persistence ------------------------------------------------------
 
@@ -425,10 +408,7 @@ def filtered_candidates(store: TripleStore, query: Query) -> np.ndarray:
     Returns every entity that completes the query into a known-true triple
     (any split), minus the query's own gold entity.
     """
-    if query.target == "tail":
-        known = store.tails_of(query.h, query.r)
-        return known[known != query.t]
-    if query.target == "head":
-        known = store.heads_of(query.r, query.t)
-        return known[known != query.h]
-    raise ValueError(f"bad query target {query.target!r}")
+    fixed, gold = ((query.h, query.t) if query.target == "tail"
+                   else (query.t, query.h))
+    known = store.completions([fixed], [query.r], query.target)[1]
+    return known[known != gold]

@@ -103,6 +103,37 @@ class KgeModel:
     def mode(self) -> str:
         return "tokenized" if self.tokenized else "lookup"
 
+    def attach_tokens(self, tokens: TokenizedGraph, d_tok: int, heads: int,
+                      ffn_mult: int, combiner: str, use_center: bool) -> None:
+        """Switch to tokenized mode: the encoder config, whose projection
+        emits the base and auxiliary halves, the token layout and the
+        flattened token arrays.  Parameters are not touched."""
+        if tokens.num_entities != self.num_entities:
+            raise ValueError(
+                f"token cache entity count mismatch: cache covers "
+                f"{tokens.num_entities} entities, model has {self.num_entities}"
+            )
+        self.enc_cfg = enc.EncoderConfig(
+            d_tok=d_tok, heads=heads, ffn_mult=ffn_mult,
+            out_dim=2 * self.dim, combiner=combiner,
+        )
+        self.layout = TokenLayout(tokens.num_anchors, self.num_entities,
+                                  use_center)
+        self.tok_ids, self.tok_seg, self.tok_mask = self.layout.flatten(tokens)
+        self.frozen_rows = {"tok": self.layout.pad_row}
+
+    def encoder_meta(self) -> dict:
+        """The checkpoint's ``encoder`` entry: ``attach_tokens``'s
+        arguments, plus the anchor count the token cache must have."""
+        return {
+            "d_tok": self.enc_cfg.d_tok,
+            "heads": self.enc_cfg.heads,
+            "ffn_mult": self.enc_cfg.ffn_mult,
+            "combiner": self.enc_cfg.combiner,
+            "num_anchors": self.layout.num_anchors,
+            "use_center": self.layout.use_center,
+        }
+
     def score(self, vecs: dict[str, np.ndarray], grad: bool = True):
         """Kernel dispatch: (d, grads) with lower d = more plausible; no
         gradients (an empty dict) with ``grad=False``."""
@@ -216,21 +247,11 @@ def build_model(
         if kind.uses_aux:
             params["ent_aux"] = rng.uniform(-scale, scale, (num_entities, dim))
     else:
-        if tokens.num_entities != num_entities:
-            raise ValueError("token cache entity count mismatch")
-        layout = TokenLayout(tokens.num_anchors, num_entities, use_center)
-        cfg = enc.EncoderConfig(
-            d_tok=d_tok if d_tok is not None else dim,
-            heads=heads, ffn_mult=ffn_mult,
-            out_dim=2 * dim, combiner=combiner,
-        )
+        model.attach_tokens(tokens, d_tok if d_tok is not None else dim,
+                            heads, ffn_mult, combiner, use_center)
         params.update(enc.init_encoder_params(
-            cfg, layout.vocab_size, rng, dtype=np.float64,
-            pad_row=layout.pad_row,
+            model.enc_cfg, model.layout.vocab_size, rng, dtype=np.float64,
+            pad_row=model.layout.pad_row,
         ))
-        model.enc_cfg = cfg
-        model.layout = layout
-        model.tok_ids, model.tok_seg, model.tok_mask = layout.flatten(tokens)
-        model.frozen_rows = {"tok": layout.pad_row}
     model.params = {k: np.asarray(v, dtype=dtype) for k, v in params.items()}
     return model

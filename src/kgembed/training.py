@@ -24,8 +24,8 @@ import numpy as np
 from scipy.special import expit
 
 from .data import TripleStore
-from .model import KgeModel, TokenLayout, build_model
-from .scoring import model_kind
+from .model import KgeModel, build_model
+from .scoring import MODEL_KINDS, model_kind
 from .segments import RowGroups
 
 log = logging.getLogger(__name__)
@@ -40,29 +40,37 @@ class CheckpointError(ValueError):
     """Unreadable or incompatible checkpoint file."""
 
 
+def _key(default, help_: str):
+    """A ``TrainConfig`` field; its help text is the CLI's (metadata does
+    not enter ``asdict``, so it never reaches ``hash``)."""
+    return field(default=default, metadata={"help": help_})
+
+
 @dataclass
 class TrainConfig:
-    model: str = "interht"
-    dim: int = 200
-    p: int = 1
-    u: float = 0.0
-    gamma: float = 10.0
-    adv_alpha: float = 1.0
-    lr: float = 5e-4
-    batch_size: int = 512
-    neg_size: int = 128
-    steps_max: int = 500_000
-    valid_every: int = 20_000
-    log_every: int = 100
-    corruption: str = "both"
-    filter_train_negatives: bool = False
-    seed: int = 0
-    tokenized: bool = False
-    d_tok: int = 0            # 0 = follow dim
-    heads: int = 4
-    ffn_mult: int = 2
-    combiner: str = "transformer"
-    use_center: bool = True
+    model: str = _key("interht",
+                      "scoring kind: " + " ".join(sorted(MODEL_KINDS)))
+    dim: int = _key(200, "entity embedding width")
+    p: int = _key(1, "residual norm order, 1 or 2")
+    u: float = _key(0.0, "constant interaction scalar (kinds that use it)")
+    gamma: float = _key(10.0, "margin")
+    adv_alpha: float = _key(1.0, "negative-weight temperature, 0 = uniform")
+    lr: float = _key(5e-4, "Adam learning rate")
+    batch_size: int = _key(512, "positives per step")
+    neg_size: int = _key(128, "negatives per positive")
+    steps_max: int = _key(500_000, "training steps")
+    valid_every: int = _key(20_000, "validation interval in steps")
+    log_every: int = _key(100, "loss log interval in steps")
+    corruption: str = _key("both", "head | tail | both (alternates per step)")
+    filter_train_negatives: bool = _key(
+        False, "resample negatives hitting train triples")
+    seed: int = _key(0, "global RNG seed")
+    tokenized: bool = _key(False, "encode entities from token sets")
+    d_tok: int = _key(0, "token embedding width, 0 = dim")
+    heads: int = _key(4, "attention heads")
+    ffn_mult: int = _key(2, "FFN expansion factor")
+    combiner: str = _key("transformer", "transformer | mean")
+    use_center: bool = _key(True, "per-entity center token (off = shared row)")
 
     def validate(self) -> None:
         kind = model_kind(self.model)
@@ -156,9 +164,6 @@ class GradBuffer:
         return out
 
 
-_warned_single_entity = False
-
-
 def sample_negatives(store: TripleStore, batch: np.ndarray, k: int,
                      mode: str, rng: np.random.Generator, step: int = 0,
                      filter_train: bool = False):
@@ -169,7 +174,6 @@ def sample_negatives(store: TripleStore, batch: np.ndarray, k: int,
     ``filter_train`` every draw completing a training triple is redrawn
     until clean (bounded; leftovers are kept with a warning).
     """
-    global _warned_single_entity
     if k < 1:
         raise ValueError("neg_size must be >= 1")
     if mode == "both":
@@ -179,9 +183,6 @@ def sample_negatives(store: TripleStore, batch: np.ndarray, k: int,
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
     e = store.num_entities
-    if e == 1 and not _warned_single_entity:
-        log.warning("single-entity store: every negative equals the gold entity")
-        _warned_single_entity = True
     b = len(batch)
     gold = batch[:, 2] if side == "tail" else batch[:, 0]
     neg = rng.integers(0, e, size=(b, k), dtype=np.int64)
@@ -451,14 +452,7 @@ def make_checkpoint(model: KgeModel, cfg: TrainConfig, step: int,
         "rng_state": rng.bit_generator.state,
     }
     if model.tokenized:
-        meta["encoder"] = {
-            "d_tok": model.enc_cfg.d_tok,
-            "heads": model.enc_cfg.heads,
-            "ffn_mult": model.enc_cfg.ffn_mult,
-            "combiner": model.enc_cfg.combiner,
-            "num_anchors": model.layout.num_anchors,
-            "use_center": model.layout.use_center,
-        }
+        meta["encoder"] = model.encoder_meta()
     opt_tables: dict[str, np.ndarray] = {}
     if opt is not None:
         for k in sorted(opt.m):
@@ -489,23 +483,17 @@ def model_from_checkpoint(ckpt: Checkpoint, tokens=None,
     if meta["mode"] == "tokenized":
         if tokens is None:
             raise CheckpointError("tokenized checkpoint requires a token cache")
-        encm = meta["encoder"]
-        if tokens.num_anchors != encm["num_anchors"]:
+        encm = dict(meta["encoder"])
+        num_anchors = encm.pop("num_anchors")
+        if tokens.num_anchors != num_anchors:
             raise CheckpointError(
                 f"token cache has {tokens.num_anchors} anchors, checkpoint "
-                f"expects {encm['num_anchors']}"
+                f"expects {num_anchors}"
             )
-        from .encoder import EncoderConfig
-        model.enc_cfg = EncoderConfig(
-            d_tok=encm["d_tok"], heads=encm["heads"],
-            ffn_mult=encm["ffn_mult"], out_dim=2 * meta["dim"],
-            combiner=encm["combiner"],
-        )
-        model.layout = TokenLayout(encm["num_anchors"], meta["num_entities"],
-                                   encm["use_center"])
-        model.tok_ids, model.tok_seg, model.tok_mask = \
-            model.layout.flatten(tokens)
-        model.frozen_rows = {"tok": model.layout.pad_row}
+        try:
+            model.attach_tokens(tokens, **encm)
+        except ValueError as exc:
+            raise CheckpointError(str(exc)) from exc
         if model.params["tok"].shape[0] != model.layout.vocab_size:
             raise CheckpointError(
                 f"token table has {model.params['tok'].shape[0]} rows, "
@@ -531,6 +519,8 @@ def train_loop(store: TripleStore, cfg: TrainConfig, tokens=None,
     cfg.validate()
     if not store.has_adjacency and cfg.tokenized:
         raise ValueError("tokenized training requires adjacency (run ingest)")
+    if store.num_entities == 1:
+        log.warning("single-entity store: every negative equals the gold entity")
     rng = np.random.default_rng(cfg.seed)
     if model is None:
         model = build_model_from_config(cfg, store.num_entities,

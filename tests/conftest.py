@@ -43,9 +43,10 @@ def random_store(num_entities, num_relations, num_triples, seed=0,
 def make_cyclic_kg(num_entities=300, num_relations=10, holdout=150, seed=7):
     """A KG whose relations are additive shifts mod |E|.
 
-    Every relation j maps x -> (x + offset_j) mod n, so translational
-    models can represent it exactly; the held-out triples follow the same
-    rule and are predictable from the train split.
+    Every relation j maps x -> (x + offset_j) mod n.  Rotations (rotate)
+    and interht can represent that exactly; TransE cannot, since a shift
+    of order n needs n * r = 0, which forces r = 0.  The held-out triples
+    follow the same rule and are predictable from the train split.
     """
     rng = np.random.default_rng(seed)
     offsets = rng.choice(np.arange(1, num_entities), size=num_relations,

@@ -169,14 +169,6 @@ class TestAdjacency:
 
 
 class TestMembership:
-    def test_has_triple_across_splits(self):
-        store = store_from_arrays([(0, 0, 1)], valid=[(1, 0, 2)],
-                                  test=[(2, 0, 0)])
-        assert store.has_triple(0, 0, 1)
-        assert store.has_triple(1, 0, 2)
-        assert store.has_triple(2, 0, 0)
-        assert not store.has_triple(1, 0, 0)
-
     def test_train_mask_matches_python_sets(self):
         store = random_store(20, 3, 150, seed=3)
         train_set = {tuple(row) for row in store.splits["train"].tolist()}
@@ -190,9 +182,12 @@ class TestMembership:
         # training builds only the train index, not the all-split ones
         assert set(store._keys) == {"train"}
 
-    def test_true_count_dedupes(self):
+    def test_completions_dedupe_across_splits(self):
         store = store_from_arrays([(0, 0, 1), (0, 0, 1)], valid=[(0, 0, 1)])
-        assert store.true_count == 1
+        for fixed, target in ((0, "tail"), (1, "head")):
+            query, ent = store.completions([fixed], [0], target)
+            assert query.tolist() == [0]
+            assert ent.tolist() == [1 - fixed]
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,18 +205,14 @@ def test_completions_match_set_recomputation(ne, nr, sizes, seed):
     known = {tuple(t) for split in rows for t in split.tolist()}
     ents = range(ne)
     pairs = [(e, r) for e in ents for r in range(nr)]
-    for e, r in pairs:
-        assert store.tails_of(e, r).tolist() == \
-            sorted(t for t in ents if (e, r, t) in known)
-        assert store.heads_of(r, e).tolist() == \
-            sorted(h for h in ents if (h, r, e) in known)
     fixed, rel = np.array(pairs).T
     for target in ("tail", "head"):
         query, ent = store.completions(fixed, rel, target)
         want = [(i, x) for i, (e, r) in enumerate(pairs) for x in ents
                 if ((e, r, x) if target == "tail" else (x, r, e)) in known]
         assert list(zip(query.tolist(), ent.tolist())) == want
-    assert store.true_count == len(known)
+        # every distinct triple completes exactly one (fixed, r) query
+        assert len(query) == len(known)
 
 
 class TestFilteredCandidates:

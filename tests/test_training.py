@@ -48,6 +48,11 @@ class TestTrainConfig:
         assert a.hash() == b.hash()
         assert a.hash() != tr.TrainConfig(lr=1e-3).hash()
 
+    def test_default_hash_pinned(self):
+        # checkpoints record this hash; the help text in the fields'
+        # metadata must never reach it
+        assert tr.TrainConfig().hash() == "5790a6aacfc37abc"
+
 
 class TestGradBuffer:
     def test_dense_accumulates(self):
@@ -135,15 +140,12 @@ class TestSampleNegatives:
                                 np.random.default_rng(0), filter_train=True)
         assert any("gave up" in r.message for r in caplog.records)
 
-    def test_single_entity_warns_once(self, caplog, monkeypatch):
-        monkeypatch.setattr(tr, "_warned_single_entity", False)
+    def test_single_entity_warns_once(self, caplog):
         store = store_from_arrays([(0, 0, 0)], num_entities=1, num_relations=1)
-        batch = store.splits["train"]
+        cfg = tr.TrainConfig(model="transe", dim=4, batch_size=1, neg_size=2,
+                             steps_max=3)
         with caplog.at_level(logging.WARNING, logger="kgembed.training"):
-            tr.sample_negatives(store, batch, 2, "tail",
-                                np.random.default_rng(0))
-            tr.sample_negatives(store, batch, 2, "tail",
-                                np.random.default_rng(0))
+            tr.train_loop(store, cfg)
         hits = [r for r in caplog.records if "single-entity" in r.message]
         assert len(hits) == 1
 
@@ -553,6 +555,55 @@ class TestCheckpoint:
         other_tg, _ = anc.tokenize_all(store, other_sel, 2, 1, 1)
         with pytest.raises(tr.CheckpointError, match="anchors"):
             tr.model_from_checkpoint(ckpt, tokens=other_tg)
+
+    def tokenized_pair(self, num_entities, cache_entities):
+        """A tokenized checkpoint over ``num_entities`` entities and a token
+        cache built from a store of ``cache_entities``."""
+        from kgembed import anchors as anc
+        caches = {}
+        for n in {num_entities, cache_entities}:
+            store = random_store(n, 2, 4 * n, seed=60)
+            sel = anc.select_global_anchors(store, 3)
+            caches[n] = (store, anc.tokenize_all(store, sel, 2, 1, 1)[0])
+        store, tg = caches[num_entities]
+        m = build_model("interht", num_entities, 2, 4, seed=61, tokens=tg,
+                        d_tok=4, heads=2, use_center=False)
+        cfg = tr.TrainConfig(model="interht", dim=4, tokenized=True, d_tok=4,
+                             heads=2, use_center=False)
+        ckpt = tr.make_checkpoint(m, cfg, 0, np.random.default_rng(0))
+        return store, ckpt, caches[cache_entities][1]
+
+    def test_encoder_meta(self):
+        _, ckpt, _ = self.tokenized_pair(12, 12)
+        assert ckpt.meta["encoder"] == {
+            "d_tok": 4, "heads": 2, "ffn_mult": 2, "combiner": "transformer",
+            "num_anchors": 3, "use_center": False,
+        }
+
+    @pytest.mark.parametrize("cache_entities", [20, 40])
+    def test_token_cache_entity_mismatch(self, cache_entities):
+        _, ckpt, tg = self.tokenized_pair(30, cache_entities)
+        with pytest.raises(tr.CheckpointError,
+                           match=f"covers {cache_entities} entities, "
+                                 f"model has 30"):
+            tr.model_from_checkpoint(ckpt, tokens=tg)
+
+    def test_token_cache_entity_mismatch_exits_2(self, tmp_path, capsys):
+        from kgembed import anchors as anc, cli
+        store, ckpt, tg = self.tokenized_pair(30, 20)
+        store.save(tmp_path / "store")
+        tr.save_checkpoint(ckpt, tmp_path / "tok.ckpt")
+        anc.save_token_cache(tg, tmp_path / "tokens.bin")
+        sets = {"data": tmp_path / "store", "checkpoint": tmp_path / "tok.ckpt",
+                "token_cache": tmp_path / "tokens.bin",
+                "out": tmp_path / "emb.bin", "checkpoint_dir": tmp_path / "c",
+                "model": "interht", "dim": 4, "d_tok": 4, "heads": 2,
+                "tokenized": "true", "steps_max": 1}
+        args = [a for k, v in sets.items() for a in ("--set", f"{k}={v}")]
+        for command in ("train", "eval", "export"):
+            rc = cli.main([command, *args])
+            assert rc == 2
+            assert "covers 20 entities, model has 30" in capsys.readouterr().err
 
 
 class TestTrainLoop:
