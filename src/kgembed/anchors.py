@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import binfile
 from .data import TripleStore
 
 log = logging.getLogger(__name__)
@@ -256,45 +257,36 @@ def tokenize_all(store: TripleStore, anchors: AnchorSet, k_anc: int, k_in: int,
 
 
 def save_token_cache(tg: TokenizedGraph, path: str | Path) -> None:
-    e, t = tg.num_entities, tg.num_slots
+    e = tg.num_entities
     ids = np.concatenate(
         [tg.anchor_tok, tg.in_tok, tg.out_tok,
          np.arange(e, dtype=np.int64)[:, None]],
         axis=1,
     ).astype("<i4")
     packed = np.packbits(tg.mask, axis=1)
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IIIIqQQ", CACHE_VERSION, tg.k_anc, tg.k_in,
-                            tg.k_out, tg.seed, e, tg.num_anchors))
-        f.write(tg.anchor_ids.astype("<i4").tobytes())
-        records = np.concatenate(
-            [ids.view(np.uint8).reshape(e, -1), packed], axis=1
-        )
-        f.write(records.tobytes())
+    records = np.concatenate([ids.view(np.uint8).reshape(e, -1), packed], axis=1)
+    binfile.save(
+        path, CACHE_MAGIC, CACHE_VERSION,
+        struct.pack("<IIIqQQ", tg.k_anc, tg.k_in, tg.k_out, tg.seed, e,
+                    tg.num_anchors),
+        np.asarray(tg.anchor_ids, dtype="<i4"), records,
+    )
 
 
 def load_token_cache(path: str | Path) -> TokenizedGraph:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CACHE_MAGIC:
-            raise TokenCacheError(f"{path}: not a token cache (magic {magic!r})")
-        header = f.read(struct.calcsize("<IIIIqQQ"))
-        version, k_anc, k_in, k_out, seed, e, a = struct.unpack("<IIIIqQQ", header)
-        if version != CACHE_VERSION:
-            raise TokenCacheError(f"{path}: unsupported cache version {version}")
-        anchor_ids = np.frombuffer(f.read(a * 4), dtype="<i4").astype(np.int64)
+    with binfile.load(path, CACHE_MAGIC, CACHE_VERSION, TokenCacheError,
+                      "token cache") as rd:
+        k_anc, k_in, k_out, seed, e, a = rd.unpack("<IIIqQQ", "header")
+        anchor_ids = rd.array("<i4", (a,), "anchor ids").astype(np.int64)
         t = k_anc + k_in + k_out + 1
-        width = t * 4 + (t + 7) // 8
-        buf = f.read(e * width)
-        if len(buf) != e * width:
-            raise TokenCacheError(f"{path}: truncated cache")
-    records = np.frombuffer(buf, dtype=np.uint8).reshape(e, width)
+        records = rd.array(np.uint8, (e, t * 4 + (t + 7) // 8), "records")
     ids = records[:, : t * 4].copy().view("<i4").astype(np.int64)
     mask = np.unpackbits(records[:, t * 4:], axis=1)[:, :t].astype(bool)
-    center = ids[:, -1]
-    if not np.array_equal(center, np.arange(e)):
-        raise TokenCacheError(f"{path}: center column corrupt")
+    if not np.array_equal(ids[:, -1], np.arange(e)):
+        raise rd.error("records", "center column corrupt")
+    rd.check_ids(anchor_ids, e, "anchor ids")
+    rd.check_ids(ids[:, :k_anc], a, "anchor tokens")
+    rd.check_ids(ids[:, k_anc:-1], e, "neighbor tokens")
     return TokenizedGraph(
         k_anc, k_in, k_out, seed, anchor_ids,
         ids[:, :k_anc], ids[:, k_anc:k_anc + k_in],

@@ -14,7 +14,6 @@ import argparse
 import json
 import logging
 import os
-import struct
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import anchors as anc
-from . import gradcheck
+from . import binfile, gradcheck
 from .data import TripleStore, build_adjacency, load_triples
 from .evaluation import evaluate_split, load_candidate_sets
 from .training import (TrainConfig, load_checkpoint, model_from_checkpoint,
@@ -358,17 +357,13 @@ def cmd_export(cfg: dict, explicit: set) -> int:
     for name in ("rel", "rel_h", "rel_t"):
         if name in model.params:
             tables.append((name, model.params[name]))
-    header = json.dumps({
+    header = {
         "kind": model.kind.name, "dim": model.dim,
         "step": ckpt.meta["step"],
         "tables": [[n, list(a.shape)] for n, a in tables],
-    }, sort_keys=True).encode()
-    with open(out, "wb") as f:
-        f.write(EXPORT_MAGIC)
-        f.write(struct.pack("<II", EXPORT_VERSION, len(header)))
-        f.write(header)
-        for _, arr in tables:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    }
+    binfile.save(out, EXPORT_MAGIC, EXPORT_VERSION, binfile.json_part(header),
+                 *(np.asarray(a, dtype="<f4") for _, a in tables))
     print(f"wrote {out}: " + ", ".join(f"{n}{list(a.shape)}" for n, a in tables),
           file=sys.stderr)
     return 0

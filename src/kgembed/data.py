@@ -11,9 +11,11 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
+
+from . import binfile
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +66,7 @@ class Vocab:
         return cls(labels, {s: i for i, s in enumerate(labels)})
 
     def save_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with binfile.atomic_write(path, "w", encoding="utf-8") as f:
             for i, label in enumerate(self.labels):
                 f.write(f"{label}\t{i}\n")
 
@@ -210,41 +212,33 @@ class TripleStore:
         directory.mkdir(parents=True, exist_ok=True)
         self.entities.save_tsv(directory / "entities.tsv")
         self.relations.save_tsv(directory / "relations.tsv")
-        with open(directory / "triples.bin", "wb") as f:
-            f.write(TRIPLES_MAGIC)
-            f.write(struct.pack("<I", TRIPLES_VERSION))
-            f.write(
-                struct.pack(
-                    "<QQQQQ",
-                    self.num_entities,
-                    self.num_relations,
-                    *(len(self.splits[s]) for s in SPLITS),
-                )
-            )
-            for s in SPLITS:
-                f.write(np.ascontiguousarray(self.splits[s], dtype="<i4").tobytes())
+        binfile.save(
+            directory / "triples.bin", TRIPLES_MAGIC, TRIPLES_VERSION,
+            struct.pack("<QQQQQ", self.num_entities, self.num_relations,
+                        *(len(self.splits[s]) for s in SPLITS)),
+            *(np.asarray(self.splits[s], dtype="<i4") for s in SPLITS),
+        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "TripleStore":
         directory = Path(directory)
         entities = Vocab.load_tsv(directory / "entities.tsv")
         relations = Vocab.load_tsv(directory / "relations.tsv")
-        with open(directory / "triples.bin", "rb") as f:
-            magic = f.read(4)
-            if magic != TRIPLES_MAGIC:
-                raise TripleFormatError(f"{directory}: bad triples.bin magic {magic!r}")
-            (version,) = struct.unpack("<I", f.read(4))
-            if version != TRIPLES_VERSION:
-                raise TripleFormatError(f"{directory}: unsupported version {version}")
-            ne, nr, *counts = struct.unpack("<QQQQQ", f.read(40))
-            if ne != len(entities) or nr != len(relations):
-                raise TripleFormatError(f"{directory}: vocab/binary size mismatch")
-            splits = {}
-            for s, n in zip(SPLITS, counts):
-                buf = f.read(n * 3 * 4)
-                if len(buf) != n * 3 * 4:
-                    raise TripleFormatError(f"{directory}: truncated triples.bin")
-                splits[s] = np.frombuffer(buf, dtype="<i4").reshape(n, 3).astype(np.int32)
+        ne, nr = len(entities), len(relations)
+        with binfile.load(directory / "triples.bin", TRIPLES_MAGIC,
+                          TRIPLES_VERSION, TripleFormatError,
+                          "triple store") as rd:
+            got_ne, got_nr, *counts = rd.unpack("<QQQQQ", "counts")
+            if (got_ne, got_nr) != (ne, nr):
+                raise rd.error("counts", f"{got_ne} entities and {got_nr} "
+                               f"relations, vocab files have {ne} and {nr}")
+            splits = {s: rd.array("<i4", (n, 3), s)
+                      for s, n in zip(SPLITS, counts)}
+        for s, rows in splits.items():
+            for col, (name, bound) in enumerate(
+                    (("head", ne), ("relation", nr), ("tail", ne))):
+                rd.check_ids(rows[:, col], bound, f"{s} {name}")
+            splits[s] = rows.astype(np.int32, copy=False)
         store = cls(entities=entities, relations=relations, splits=splits)
         _count_duplicates(store)
         return build_adjacency(store)

@@ -19,7 +19,7 @@ import numpy as np
 # filtered_candidates is no longer used here but stays importable from this
 # module, where callers have found it.
 from .data import Query, TripleStore, filtered_candidates  # noqa: F401
-from .model import KgeModel
+from .model import PART_TO_PARAM, KgeModel
 
 log = logging.getLogger(__name__)
 
@@ -263,6 +263,23 @@ def summarize_ranks(ranks, protocol: str, tie_policy: str) -> EvalReport:
     )
 
 
+def _check_finite(model: KgeModel, tables) -> None:
+    """Reject a NaN or infinity in a table that ranking reads: its scores
+    compare neither below nor equal to the gold's, so the gold would rank
+    first unnoticed."""
+    named = [("entity_base", tables[0]), ("entity_aux", tables[1])]
+    named += [(PART_TO_PARAM[part], model.params[PART_TO_PARAM[part]])
+              for part in model.kind.rel_parts]
+    for name, table in named:
+        if table is None:
+            continue
+        finite = np.isfinite(table)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"non-finite value in {name} row {row}: the "
+                             "model diverged or its checkpoint is corrupt")
+
+
 def rank_split(model: KgeModel, store: TripleStore, split: str = "test",
                protocol: str = "filtered-full", tie_policy: str = "mean",
                both_directions: bool = True,
@@ -286,6 +303,7 @@ def rank_split(model: KgeModel, store: TripleStore, split: str = "test",
                     f"for {len(triples)} triples"
                 )
     tables = model.encode_all()
+    _check_finite(model, tables)
     triples = triples.astype(np.int64)
     targets = ("tail", "head") if both_directions else ("tail",)
     ranks = np.empty(len(targets) * len(triples))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from . import binfile
 from .data import TripleStore
 from .model import KgeModel, build_model
 from .scoring import MODEL_KINDS, model_kind
@@ -397,43 +397,24 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     tables = [("p/" + k, ckpt.params[k]) for k in sorted(ckpt.params)]
     tables += [("o/" + k, ckpt.opt[k]) for k in sorted(ckpt.opt)]
     manifest = [[name, _tag_of(a), list(a.shape)] for name, a in tables]
-    header = json.dumps({"meta": ckpt.meta, "tables": manifest},
-                        sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", CKPT_VERSION, len(header)))
-        f.write(header)
-        for _, arr in tables:
-            f.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+    binfile.save(path, CKPT_MAGIC, CKPT_VERSION,
+                 binfile.json_part({"meta": ckpt.meta, "tables": manifest}),
+                 *(a for _, a in tables))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (magic {magic!r})")
-        head = f.read(8)
-        if len(head) != 8:
-            raise CheckpointError(f"{path}: truncated header")
-        version, hlen = struct.unpack("<II", head)
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        header = json.loads(f.read(hlen))
-        params: dict[str, np.ndarray] = {}
-        opt: dict[str, np.ndarray] = {}
+    groups: dict[str, dict[str, np.ndarray]] = {"p/": {}, "o/": {}}
+    with binfile.load(path, CKPT_MAGIC, CKPT_VERSION, CheckpointError,
+                      "checkpoint") as rd:
+        header = rd.json("header")
         for name, tag, shape in header["tables"]:
-            n = int(np.prod(shape)) if shape else 1
-            raw = f.read(n * np.dtype(tag).itemsize)
-            if len(raw) != n * np.dtype(tag).itemsize:
-                raise CheckpointError(f"{path}: truncated table {name}")
-            arr = np.frombuffer(raw, dtype=tag).reshape(shape).copy()
-            if name.startswith("p/"):
-                params[name[2:]] = arr
-            elif name.startswith("o/"):
-                opt[name[2:]] = arr
-            else:
-                raise CheckpointError(f"{path}: unknown table group {name!r}")
-    return Checkpoint(meta=header["meta"], params=params, opt=opt)
+            if tag not in _DTYPE_TAGS:
+                raise rd.error(name, f"unsupported dtype {tag!r}")
+            if name[:2] not in groups:
+                raise rd.error(name, "unknown table group")
+            groups[name[:2]][name[2:]] = rd.array(tag, shape, name)
+    return Checkpoint(meta=header["meta"], params=groups["p/"],
+                      opt=groups["o/"])
 
 
 def make_checkpoint(model: KgeModel, cfg: TrainConfig, step: int,

@@ -285,6 +285,14 @@ class TestEvaluateSplit:
         assert report == ev.summarize_ranks([w.rank for w in want], protocol,
                                             policy)
 
+    @pytest.mark.parametrize("rows, first", [(slice(None), 0), ([3], 3)])
+    def test_non_finite_entity_rows_rejected(self, rows, first):
+        store = random_store(20, 2, 100, seed=74, splits=(0.8, 0.0, 0.2))
+        m = build_model("interht", 20, 2, 4, seed=75)
+        m.params["ent"][rows] = np.nan
+        with pytest.raises(ValueError, match=f"entity_base row {first}:"):
+            ev.evaluate_split(m, store, "test")
+
     def test_gold_in_candidate_row_warns_once_per_query(self, caplog):
         store = store_from_arrays(
             [(0, 0, 1)], test=[(0, 0, 1), (0, 0, 2)],
