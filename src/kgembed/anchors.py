@@ -205,15 +205,6 @@ class TokenizedGraph:
     def num_slots(self) -> int:
         return self.k_anc + self.k_in + self.k_out + 1
 
-    def tokens_for(self, node: int) -> SubgraphTokens:
-        return SubgraphTokens(
-            center=node,
-            anchors=self.anchor_tok[node],
-            in_neighbors=self.in_tok[node],
-            out_neighbors=self.out_tok[node],
-            mask=self.mask[node],
-        )
-
 
 def tokenize_all(store: TripleStore, anchors: AnchorSet, k_anc: int, k_in: int,
                  k_out: int, seed: int = 0):
@@ -224,32 +215,32 @@ def tokenize_all(store: TripleStore, anchors: AnchorSet, k_anc: int, k_in: int,
     (isolated entities with no tokens besides themselves).
     """
     e = store.num_entities
+    # a node is one-hop covered when a train triple joins it to an anchor,
+    # in either direction: the test of _assign's one-hop anchor count.
+    # Taken before the cache arrays exist, so its temporaries do not add
+    # to their peak.
+    tr = store.splits["train"]
+    covered = np.zeros(e, dtype=bool)
+    covered[tr[:, 0][anchors.is_anchor[tr[:, 2]]]] = True
+    covered[tr[:, 2][anchors.is_anchor[tr[:, 0]]]] = True
     t = k_anc + k_in + k_out + 1
     anchor_tok = np.zeros((e, k_anc), dtype=np.int64)
     in_tok = np.zeros((e, k_in), dtype=np.int64)
     out_tok = np.zeros((e, k_out), dtype=np.int64)
     mask = np.zeros((e, t), dtype=bool)
-    one_hop_covered = 0
-    center_only = 0
-    hist = np.zeros(k_anc + 1, dtype=np.int64)
     for node in range(e):
         tok = build_subgraph_tokens(store, anchors, node, k_anc, k_in, k_out, seed)
         anchor_tok[node] = tok.anchors
         in_tok[node] = tok.in_neighbors
         out_tok[node] = tok.out_neighbors
         mask[node] = tok.mask
-        n_anchor = int(tok.mask[:k_anc].sum())
-        hist[n_anchor] += 1
-        _, n_one_hop = _assign(store, anchors, node, k_anc)
-        if n_one_hop > 0:
-            one_hop_covered += 1
-        if not tok.mask[:-1].any():
-            center_only += 1
+    hist = np.bincount(mask[:, :k_anc].sum(axis=1), minlength=k_anc + 1)
+    center_only = int((~mask[:, :-1].any(axis=1)).sum())
     tg = TokenizedGraph(k_anc, k_in, k_out, seed, anchors.anchor_ids.copy(),
                         anchor_tok, in_tok, out_tok, mask)
     stats = {
         "nodes": e,
-        "one_hop_anchor_fraction": one_hop_covered / e,
+        "one_hop_anchor_fraction": int(covered.sum()) / e,
         "center_only": center_only,
         "anchor_slot_hist": {str(i): int(n) for i, n in enumerate(hist) if n},
     }

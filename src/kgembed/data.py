@@ -78,7 +78,13 @@ class Vocab:
                 parts = line.rstrip("\n").split("\t")
                 if len(parts) != 2:
                     raise TripleFormatError(f"{path}: bad vocab line {lineno}")
-                label, idx = parts[0], int(parts[1])
+                label = parts[0]
+                try:
+                    idx = int(parts[1])
+                except ValueError:
+                    raise TripleFormatError(
+                        f"{path}: non-integer id {parts[1]!r} at line {lineno}"
+                    ) from None
                 if idx != len(labels):
                     raise TripleFormatError(
                         f"{path}: non-dense id {idx} at line {lineno}"

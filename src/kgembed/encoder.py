@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .segments import RowGroups
-
 SEG_ANCHOR, SEG_IN, SEG_OUT, SEG_CENTER = 0, 1, 2, 3
 NUM_SEGMENTS = 4
 
@@ -299,14 +297,3 @@ def encode_entity_backward(params: dict, cfg: EncoderConfig, cache: dict,
     in_segment = np.arange(NUM_SEGMENTS)[:, None] == cache["seg"][None, :]
     dense["type"] = in_segment.astype(dx.dtype) @ dx.sum(axis=0)
     return tok_ids, tok_rows, dense
-
-
-def encode_entity_grads(params: dict, cfg: EncoderConfig, cache: dict,
-                        d_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Dense-gradient convenience wrapper (token table densified)."""
-    tok_ids, tok_rows, dense = encode_entity_backward(params, cfg, cache, d_out)
-    d_tok = np.zeros_like(params["tok"])
-    groups = RowGroups(tok_ids)
-    d_tok[groups.ids] = groups.sum(tok_rows)
-    dense["tok"] = d_tok
-    return dense

@@ -1,5 +1,5 @@
 """Link-prediction ranking: filtered full ranking, fixed candidate sets,
-MRR and Hits@K, plus a sort-based oracle for cross-checking.
+MRR and Hits@K.
 
 Queries are ranked in blocks against chunks of entities with value-only
 scoring, so no [queries, entities] array is ever built.
@@ -19,7 +19,7 @@ import numpy as np
 # filtered_candidates is no longer used here but stays importable from this
 # module, where callers have found it.
 from .data import Query, TripleStore, filtered_candidates  # noqa: F401
-from .model import PART_TO_PARAM, KgeModel
+from .model import KgeModel
 
 log = logging.getLogger(__name__)
 
@@ -108,18 +108,6 @@ def _chunk(queries: int, dim: int) -> int:
 def _check_target(target: str) -> None:
     if target not in ("tail", "head"):
         raise ValueError(f"bad query target {target!r}")
-
-
-def score_against_all(model: KgeModel, tables, query: Query) -> np.ndarray:
-    """Unified scores of (h, r, *) or (*, r, t) against every entity."""
-    _check_target(query.target)
-    fixed = np.array([query.h if query.target == "tail" else query.t])
-    r = np.array([query.r])
-    n, step = model.num_entities, _chunk(1, tables[0].shape[1])
-    return np.concatenate([
-        _scores(model, tables, r, fixed, query.target, slice(lo, lo + step))[0]
-        for lo in range(0, n, step)
-    ])
 
 
 def _rank_block(model: KgeModel, tables, store: TripleStore, h, r, t,
@@ -227,15 +215,6 @@ def _candidate_rows(protocol: str, candidates) -> np.ndarray | None:
     return np.asarray(candidates, dtype=np.int64)
 
 
-def sort_rank(cand_scores: np.ndarray, gold_score: float,
-              tie_policy: str) -> float:
-    """Sort-based rank recount used as an independent cross-check."""
-    s = np.sort(np.asarray(cand_scores, dtype=np.float64))
-    lo = int(np.searchsorted(s, gold_score, side="left"))
-    hi = int(np.searchsorted(s, gold_score, side="right"))
-    return tie_rank(lo, hi - lo, tie_policy)
-
-
 def split_queries(triples: np.ndarray, both_directions: bool) -> list[Query]:
     queries = []
     for h, r, t in triples.tolist():
@@ -263,23 +242,6 @@ def summarize_ranks(ranks, protocol: str, tie_policy: str) -> EvalReport:
     )
 
 
-def _check_finite(model: KgeModel, tables) -> None:
-    """Reject a NaN or infinity in a table that ranking reads: its scores
-    compare neither below nor equal to the gold's, so the gold would rank
-    first unnoticed."""
-    named = [("entity_base", tables[0]), ("entity_aux", tables[1])]
-    named += [(PART_TO_PARAM[part], model.params[PART_TO_PARAM[part]])
-              for part in model.kind.rel_parts]
-    for name, table in named:
-        if table is None:
-            continue
-        finite = np.isfinite(table)
-        if not finite.all():
-            row = int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise ValueError(f"non-finite value in {name} row {row}: the "
-                             "model diverged or its checkpoint is corrupt")
-
-
 def rank_split(model: KgeModel, store: TripleStore, split: str = "test",
                protocol: str = "filtered-full", tie_policy: str = "mean",
                both_directions: bool = True,
@@ -303,7 +265,6 @@ def rank_split(model: KgeModel, store: TripleStore, split: str = "test",
                     f"for {len(triples)} triples"
                 )
     tables = model.encode_all()
-    _check_finite(model, tables)
     triples = triples.astype(np.int64)
     targets = ("tail", "head") if both_directions else ("tail",)
     ranks = np.empty(len(targets) * len(triples))
@@ -350,9 +311,3 @@ def load_candidate_sets(path: str | Path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no candidate rows")
     return np.asarray(rows, dtype=np.int64)
-
-
-def save_candidate_sets(arr: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in np.asarray(arr, dtype=np.int64):
-            f.write("\t".join(str(int(x)) for x in row) + "\n")

@@ -183,21 +183,38 @@ class KgeModel:
             buf.add_rows(PART_TO_PARAM[part], r_ids, g)
 
     def encode_all(self, batch_size: int = 2048):
-        """Encode every entity; used by evaluation and export."""
-        if not self.tokenized:
-            return (self.params["ent"],
-                    self.params["ent_aux"] if self.kind.uses_aux else None)
-        bases, auxes = [], []
-        for lo in range(0, self.num_entities, batch_size):
-            ids = np.arange(lo, min(lo + batch_size, self.num_entities))
-            base, aux, _ = self.encode_entities(ids)
-            bases.append(base)
-            if aux is not None:
-                auxes.append(aux)
-        return np.concatenate(bases), (np.concatenate(auxes) if auxes else None)
+        """Encode every entity; used by evaluation and export.
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.params))
+        Raises ValueError naming the table and its first bad row when the
+        base, aux or a relation table holds a NaN or infinity: such a score
+        compares neither below nor equal to a gold's, so ranking would put
+        the gold first unnoticed.
+        """
+        if self.tokenized:
+            bases, auxes = [], []
+            for lo in range(0, self.num_entities, batch_size):
+                ids = np.arange(lo, min(lo + batch_size, self.num_entities))
+                base, aux, _ = self.encode_entities(ids)
+                bases.append(base)
+                if aux is not None:
+                    auxes.append(aux)
+            tables = (np.concatenate(bases),
+                      np.concatenate(auxes) if auxes else None)
+        else:
+            tables = (self.params["ent"],
+                      self.params["ent_aux"] if self.kind.uses_aux else None)
+        named = [("entity_base", tables[0]), ("entity_aux", tables[1])]
+        named += [(PART_TO_PARAM[part], self.params[PART_TO_PARAM[part]])
+                  for part in self.kind.rel_parts]
+        for name, table in named:
+            if table is None:
+                continue
+            finite = np.isfinite(table)
+            if not finite.all():
+                row = int(np.flatnonzero(~finite.all(axis=1))[0])
+                raise ValueError(f"non-finite value in {name} row {row}: the "
+                                 "model diverged or its checkpoint is corrupt")
+        return tables
 
 
 def relation_table_shapes(kind: ModelKind, dim: int,

@@ -32,7 +32,6 @@ class ModelKind:
     bilinear: bool = False      # similarity score instead of distance
     even_dim: bool = False      # d interpreted as d/2 complex pairs
     phase_relation: bool = False  # relation table stores angles of width d/2
-    uses_u: bool = False        # constant scalar u enters the kernel
 
     def relation_dim(self, d: int) -> int:
         return d // 2 if self.phase_relation else d
@@ -236,8 +235,7 @@ MODEL_KINDS: dict[str, ModelKind] = {k.name: k for k in (
     ModelKind("triplere2", ("r_h", "r", "r_t"),
               lambda v, p, u, grad: triplere_distance(
                   v["h"], v["r_h"], v["r"], v["r_t"], v["t"], u=u, version=2,
-                  p=p, grad=grad),
-              uses_u=True),
+                  p=p, grad=grad)),
     ModelKind("distmult", ("r",), lambda v, p, u, grad: distmult_score(
         v["h"], v["r"], v["t"], grad), bilinear=True),
     ModelKind("complex", ("r",), lambda v, p, u, grad: complex_score(
@@ -247,8 +245,7 @@ MODEL_KINDS: dict[str, ModelKind] = {k.name: k for k in (
     ModelKind("interht_plus", ("r_h", "r", "r_t"),
               lambda v, p, u, grad: interht_plus_distance(
                   v["h"], v["r"], v["t"], v["r_h"], v["r_t"], u=u, p=p,
-                  grad=grad),
-              uses_u=True),
+                  grad=grad)),
 )}
 
 

@@ -384,6 +384,12 @@ class Checkpoint:
 
 
 _DTYPE_TAGS = ("<f4", "<f8", "<i8")
+# meta keys that model_from_checkpoint and the CLI read; a tokenized
+# checkpoint's "encoder" entry holds KgeModel.encoder_meta()'s keys
+_META_KEYS = ("kind", "dim", "p", "u", "mode", "num_entities",
+              "num_relations", "step", "config_hash")
+_ENCODER_KEYS = ("d_tok", "heads", "ffn_mult", "combiner", "num_anchors",
+                 "use_center")
 
 
 def _tag_of(arr: np.ndarray) -> str:
@@ -407,14 +413,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     with binfile.load(path, CKPT_MAGIC, CKPT_VERSION, CheckpointError,
                       "checkpoint") as rd:
         header = rd.json("header")
+        _require_keys(rd, header, ("meta", "tables"), "header")
+        meta = header["meta"]
+        _require_keys(rd, meta, _META_KEYS, "header meta")
+        if meta["mode"] == "tokenized":
+            _require_keys(rd, meta.get("encoder"), _ENCODER_KEYS,
+                          "header meta.encoder")
         for name, tag, shape in header["tables"]:
             if tag not in _DTYPE_TAGS:
                 raise rd.error(name, f"unsupported dtype {tag!r}")
             if name[:2] not in groups:
                 raise rd.error(name, "unknown table group")
             groups[name[:2]][name[2:]] = rd.array(tag, shape, name)
-    return Checkpoint(meta=header["meta"], params=groups["p/"],
-                      opt=groups["o/"])
+    return Checkpoint(meta=meta, params=groups["p/"], opt=groups["o/"])
+
+
+def _require_keys(rd: binfile.Reader, obj, keys: tuple[str, ...],
+                  section: str) -> None:
+    if not isinstance(obj, dict):
+        raise rd.error(section, "not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise rd.error(section, f"missing key {key!r}")
 
 
 def make_checkpoint(model: KgeModel, cfg: TrainConfig, step: int,

@@ -4,6 +4,8 @@ This is how kgembed ranked before evaluation was batched: one query at a
 time, scoring every entity through the full kernel (gradients included) and
 masking the pool with a boolean vector.  Known completions come from a
 Python set of triples, independent of the store's sorted key index.
+``sort_rank`` recounts a rank by sorting, and ``save_candidate_sets``
+writes the candidate files that ``load_candidate_sets`` reads.
 """
 from __future__ import annotations
 
@@ -68,3 +70,18 @@ def rank_query(model, known, query, protocol="filtered-full",
     better = int((cand_d < gold_d).sum())
     ties = int((cand_d == gold_d).sum())
     return RankResult(query, tie_rank(better, ties, tie_policy), len(cand_d) + 1)
+
+
+def sort_rank(cand_scores: np.ndarray, gold_score: float,
+              tie_policy: str) -> float:
+    """Sort-based rank recount used as an independent cross-check."""
+    s = np.sort(np.asarray(cand_scores, dtype=np.float64))
+    lo = int(np.searchsorted(s, gold_score, side="left"))
+    hi = int(np.searchsorted(s, gold_score, side="right"))
+    return tie_rank(lo, hi - lo, tie_policy)
+
+
+def save_candidate_sets(arr: np.ndarray, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for row in np.asarray(arr, dtype=np.int64):
+            f.write("\t".join(str(int(x)) for x in row) + "\n")

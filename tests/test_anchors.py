@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgembed import anchors as anc
 
@@ -192,18 +193,54 @@ class TestBuildSubgraphTokens:
             assert (pad_slots == 0).all()
 
 
+@st.composite
+def token_graphs(draw):
+    """A small graph with isolated nodes, self-loops and repeated edges, an
+    anchor set, the three slot counts and a seed."""
+    linked = draw(st.integers(1, 10))
+    e = linked + draw(st.integers(0, 3))       # ids >= linked stay isolated
+    nr = draw(st.integers(1, 3))
+    edge = st.tuples(st.integers(0, linked - 1), st.integers(0, nr - 1),
+                     st.integers(0, linked - 1))
+    edges = draw(st.lists(edge, min_size=1, max_size=40))
+    h, r, _ = edges[0]
+    edges += [(h, r, h)] * draw(st.integers(0, 2))    # self-loop, repeated
+    edges += edges[: draw(st.integers(0, len(edges)))]
+    store = store_from_arrays(edges, num_entities=e, num_relations=nr)
+    ids = draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=e,
+                        unique=True))
+    k = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    return store, anchor_set(ids, e), k, draw(st.integers(0, 2**32 - 1))
+
+
 class TestTokenizeAll:
-    def test_matches_per_node_builds(self):
-        store = random_store(20, 3, 80, seed=25)
-        s = anc.select_global_anchors(store, 4)
-        tg, _ = anc.tokenize_all(store, s, 3, 2, 2, seed=9)
-        for node in (0, 5, 13, 19):
-            direct = anc.build_subgraph_tokens(store, s, node, 3, 2, 2, seed=9)
-            got = tg.tokens_for(node)
-            np.testing.assert_array_equal(got.anchors, direct.anchors)
-            np.testing.assert_array_equal(got.in_neighbors, direct.in_neighbors)
-            np.testing.assert_array_equal(got.out_neighbors, direct.out_neighbors)
-            np.testing.assert_array_equal(got.mask, direct.mask)
+    @settings(max_examples=150, deadline=None)
+    @given(case=token_graphs())
+    def test_matches_per_node_builds(self, case):
+        store, s, (k_anc, k_in, k_out), seed = case
+        tg, stats = anc.tokenize_all(store, s, k_anc, k_in, k_out, seed)
+        e = store.num_entities
+        hist = np.zeros(k_anc + 1, dtype=int)
+        covered = center_only = 0
+        for node in range(e):
+            direct = anc.build_subgraph_tokens(store, s, node, k_anc, k_in,
+                                               k_out, seed)
+            np.testing.assert_array_equal(tg.anchor_tok[node], direct.anchors)
+            np.testing.assert_array_equal(tg.in_tok[node], direct.in_neighbors)
+            np.testing.assert_array_equal(tg.out_tok[node],
+                                          direct.out_neighbors)
+            np.testing.assert_array_equal(tg.mask[node], direct.mask)
+            hist[direct.mask[:k_anc].sum()] += 1
+            covered += anc._assign(store, s, node, k_anc)[1] > 0
+            center_only += not direct.mask[:-1].any()
+        assert stats == {
+            "nodes": e,
+            "one_hop_anchor_fraction": covered / e,
+            "center_only": center_only,
+            "anchor_slot_hist": {str(i): int(n) for i, n in enumerate(hist)
+                                 if n},
+        }
+        assert type(stats["center_only"]) is int
 
     def test_stats(self):
         store = store_from_arrays([(0, 0, 1)], num_entities=3, num_relations=1)

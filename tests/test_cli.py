@@ -2,10 +2,13 @@ import json
 import struct
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgembed
 from kgembed import cli
 from kgembed.model import build_model
 from kgembed.training import TrainConfig, make_checkpoint, save_checkpoint
@@ -397,3 +400,9 @@ class TestParser:
         assert res.returncode == 0
         for command in cli.COMMANDS:
             assert command in res.stdout
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        assert kgembed.__version__ == tomllib.load(f)["project"]["version"]

@@ -178,6 +178,57 @@ def test_nan_in_checkpoint_exits_2(run, tmp_path, capsys):
     assert "non-finite value in rel row 1" in capsys.readouterr().err
 
 
+def export_args(d):
+    return ["export", "--set", f"checkpoint={d / 'ckpt' / 'final.ckpt'}",
+            "--set", f"token_cache={d / 'tokens.bin'}",
+            "--set", f"out={d / 'emb.bin'}"]
+
+
+def test_nan_model_export_exits_2(run, tmp_path, capsys):
+    d = tmp_path / "run"
+    shutil.copytree(run, d)
+    path = d / "ckpt" / "final.ckpt"
+    ckpt = tr.load_checkpoint(path)
+    ckpt.params["tok"][:] = np.nan
+    tr.save_checkpoint(ckpt, path)
+    capsys.readouterr()
+    assert cli.main(export_args(d)) == 2
+    assert "non-finite value in entity_base row 0" in capsys.readouterr().err
+    assert not (d / "emb.bin").exists()
+
+
+@pytest.mark.parametrize("args", [eval_args, export_args])
+@pytest.mark.parametrize("key", ["dim", "step", "config_hash", "encoder.heads"])
+def test_checkpoint_meta_key_missing_exits_2(run, tmp_path, capsys, key, args):
+    d = tmp_path / "run"
+    shutil.copytree(run, d)
+    path = d / "ckpt" / "final.ckpt"
+    ckpt = tr.load_checkpoint(path)
+    *parent, name = key.split(".")
+    entry = ckpt.meta[parent[0]] if parent else ckpt.meta
+    del entry[name]
+    tr.save_checkpoint(ckpt, path)
+    with pytest.raises(tr.CheckpointError, match=f"missing key '{name}'"):
+        tr.load_checkpoint(path)
+    capsys.readouterr()
+    assert cli.main(args(d)) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"missing key '{name}'" in err
+
+
+def test_non_integer_vocab_id_names_file_and_line(run, tmp_path, capsys):
+    d = tmp_path / "run"
+    shutil.copytree(run, d)
+    path = d / "store" / "entities.tsv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].split("\t")[0] + "\tx\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert cli.main(eval_args(d)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: non-integer id 'x' at line 3" in err
+
+
 # -- writes -----------------------------------------------------------------
 
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):

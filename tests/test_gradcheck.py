@@ -86,12 +86,11 @@ class TestSuites:
         assert all(v <= gc.KERNEL_TOL for v in out.values())
 
     def test_transformer_quick_check(self):
-        err = gc.check_transformer(instances=3, seed=6, coords_per_param=6)
+        err = gc.check_transformer(instances=3, seed=6)
         assert err <= gc.ENCODER_TOL
 
     def test_mean_combiner_also_verified(self):
-        err = gc.check_transformer(instances=3, seed=7, coords_per_param=6,
-                                   combiner="mean")
+        err = gc.check_transformer(instances=3, seed=7, combiner="mean")
         assert err <= gc.ENCODER_TOL
 
     def test_step_and_redraw_threshold_are_separated(self):

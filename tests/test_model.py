@@ -64,7 +64,7 @@ class TestBuildLookup:
     ])
     def test_tables_per_kind(self, kind, tables):
         m = mdl.build_model(kind, 7, 3, 8, seed=0)
-        assert set(m.param_names()) == tables
+        assert set(m.params) == tables
         assert m.params["ent"].shape == (7, 8)
         rel_dim = 4 if kind == "rotate" else 8
         for name in tables - {"ent", "ent_aux"}:
@@ -84,7 +84,7 @@ class TestBuildLookup:
     def test_seed_reproducible(self):
         a = mdl.build_model("interht", 9, 4, 6, seed=3)
         b = mdl.build_model("interht", 9, 4, 6, seed=3)
-        for name in a.param_names():
+        for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
     def test_encode_entities_reads_tables(self):
