@@ -21,13 +21,6 @@ NUM_SEGMENTS = 4
 # A Python float, not a numpy scalar: it keeps float32 activations float32.
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# weight names by combiner mode; "tok" rows are updated sparsely
-TRANSFORMER_PARAMS = (
-    "tok", "type", "wq", "wk", "wv", "wo",
-    "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b", "out_proj",
-)
-MEANPOOL_PARAMS = ("tok", "type", "out_proj")
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -51,31 +44,35 @@ class EncoderConfig:
             )
 
 
+def encoder_shapes(cfg: EncoderConfig,
+                   vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every encoder weight and its shape, in initialization order."""
+    dt, f = cfg.d_tok, cfg.ffn_mult * cfg.d_tok
+    shapes = {"tok": (vocab_size, dt), "type": (NUM_SEGMENTS, dt),
+              "out_proj": (dt, cfg.out_dim)}
+    if cfg.combiner == "transformer":
+        shapes.update(
+            wq=(dt, dt), wk=(dt, dt), wv=(dt, dt), wo=(dt, dt),
+            w1=(dt, f), b1=(f,), w2=(f, dt), b2=(dt,),
+            ln1_g=(dt,), ln1_b=(dt,), ln2_g=(dt,), ln2_b=(dt,),
+        )
+    return shapes
+
+
 def init_encoder_params(cfg: EncoderConfig, vocab_size: int,
                         rng: np.random.Generator, dtype=np.float32,
                         pad_row: int | None = None) -> dict[str, np.ndarray]:
-    dt = cfg.d_tok
-    emb_scale = 0.5 / np.sqrt(dt)
-
-    def xavier(fan_in, fan_out):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-lim, lim, (fan_in, fan_out))
-
-    params = {
-        "tok": rng.uniform(-emb_scale, emb_scale, (vocab_size, dt)),
-        "type": rng.uniform(-emb_scale, emb_scale, (NUM_SEGMENTS, dt)),
-        "out_proj": xavier(dt, cfg.out_dim),
-    }
-    if cfg.combiner == "transformer":
-        f = cfg.ffn_mult * dt
-        params.update(
-            wq=xavier(dt, dt), wk=xavier(dt, dt), wv=xavier(dt, dt),
-            wo=xavier(dt, dt),
-            w1=xavier(dt, f), b1=np.zeros(f),
-            w2=xavier(f, dt), b2=np.zeros(dt),
-            ln1_g=np.ones(dt), ln1_b=np.zeros(dt),
-            ln2_g=np.ones(dt), ln2_b=np.zeros(dt),
-        )
+    """Draws the tables of :func:`encoder_shapes`, in its order."""
+    emb_scale = 0.5 / np.sqrt(cfg.d_tok)
+    params = {}
+    for name, shape in encoder_shapes(cfg, vocab_size).items():
+        if name in ("tok", "type"):
+            params[name] = rng.uniform(-emb_scale, emb_scale, shape)
+        elif len(shape) == 2:
+            lim = np.sqrt(6.0 / sum(shape))     # Xavier-uniform
+            params[name] = rng.uniform(-lim, lim, shape)
+        else:
+            params[name] = (np.ones if name.endswith("_g") else np.zeros)(shape)
     if pad_row is not None:
         params["tok"][pad_row] = 0.0
     return {k: np.asarray(v, dtype=dtype) for k, v in params.items()}

@@ -163,6 +163,7 @@ def _ranks(model: KgeModel, tables, store: TripleStore, triples: np.ndarray,
            target: str, tie_policy: str, cands: np.ndarray | None):
     """Ranks and pool sizes of the ``target`` queries of ``triples``,
     ranked in blocks of BLOCK_QUERIES."""
+    model.check_store(store)
     ranks = np.empty(len(triples))
     pools = np.empty(len(triples), dtype=np.int64)
     for lo in range(0, len(triples), BLOCK_QUERIES):

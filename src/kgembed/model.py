@@ -134,6 +134,29 @@ class KgeModel:
             "use_center": self.layout.use_center,
         }
 
+    def table_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every parameter table and its shape, in initialization order:
+        the relation parts, then the entity tables or the encoder's."""
+        rd = self.kind.relation_dim(self.dim)
+        shapes = {PART_TO_PARAM[part]: (self.num_relations, rd)
+                  for part in self.kind.rel_parts}
+        if self.tokenized:
+            return shapes | enc.encoder_shapes(self.enc_cfg,
+                                               self.layout.vocab_size)
+        ent = ("ent", "ent_aux") if self.kind.uses_aux else ("ent",)
+        return shapes | {name: (self.num_entities, self.dim) for name in ent}
+
+    def check_store(self, store) -> None:
+        """Raise ValueError unless ``store`` has this model's entity and
+        relation counts: ranking against another store would score ids
+        that the model or the store does not have."""
+        for what, mine, theirs in (
+                ("entities", self.num_entities, store.num_entities),
+                ("relations", self.num_relations, store.num_relations)):
+            if mine != theirs:
+                raise ValueError(f"model has {mine} {what}, "
+                                 f"store has {theirs}")
+
     def score(self, vecs: dict[str, np.ndarray], grad: bool = True):
         """Kernel dispatch: (d, grads) with lower d = more plausible; no
         gradients (an empty dict) with ``grad=False``."""
@@ -194,7 +217,8 @@ class KgeModel:
             bases, auxes = [], []
             for lo in range(0, self.num_entities, batch_size):
                 ids = np.arange(lo, min(lo + batch_size, self.num_entities))
-                base, aux, _ = self.encode_entities(ids)
+                # the backward cache is dropped before the next batch
+                base, aux = self.encode_entities(ids)[:2]
                 bases.append(base)
                 if aux is not None:
                     auxes.append(aux)
@@ -215,12 +239,6 @@ class KgeModel:
                 raise ValueError(f"non-finite value in {name} row {row}: the "
                                  "model diverged or its checkpoint is corrupt")
         return tables
-
-
-def relation_table_shapes(kind: ModelKind, dim: int,
-                          num_relations: int) -> dict[str, tuple[int, int]]:
-    rd = kind.relation_dim(dim)
-    return {PART_TO_PARAM[part]: (num_relations, rd) for part in kind.rel_parts}
 
 
 def build_model(
@@ -248,27 +266,23 @@ def build_model(
         kind = model_kind(kind)
     if kind.even_dim and dim % 2:
         raise ValueError(f"{kind.name} needs an even dimension, got {dim}")
+    model = KgeModel(
+        kind=kind, dim=dim, p=p, u=u,
+        num_entities=num_entities, num_relations=num_relations, params={},
+    )
+    if tokens is not None:
+        model.attach_tokens(tokens, d_tok if d_tok is not None else dim,
+                            heads, ffn_mult, combiner, use_center)
     rng = np.random.default_rng(seed)
     scale = 0.5 / np.sqrt(dim)
     params: dict[str, np.ndarray] = {}
-    for name, shape in relation_table_shapes(kind, dim, num_relations).items():
-        params[name] = rng.uniform(-scale, scale, shape)
-
-    model = KgeModel(
-        kind=kind, dim=dim, p=p, u=u,
-        num_entities=num_entities, num_relations=num_relations,
-        params=params,
-    )
-    if tokens is None:
-        params["ent"] = rng.uniform(-scale, scale, (num_entities, dim))
-        if kind.uses_aux:
-            params["ent_aux"] = rng.uniform(-scale, scale, (num_entities, dim))
-    else:
-        model.attach_tokens(tokens, d_tok if d_tok is not None else dim,
-                            heads, ffn_mult, combiner, use_center)
-        params.update(enc.init_encoder_params(
-            model.enc_cfg, model.layout.vocab_size, rng, dtype=np.float64,
-            pad_row=model.layout.pad_row,
-        ))
+    for name, shape in model.table_shapes().items():
+        if name == "tok":    # the encoder's first table: it draws them all
+            params.update(enc.init_encoder_params(
+                model.enc_cfg, model.layout.vocab_size, rng, dtype=np.float64,
+                pad_row=model.layout.pad_row,
+            ))
+        elif name not in params:
+            params[name] = rng.uniform(-scale, scale, shape)
     model.params = {k: np.asarray(v, dtype=dtype) for k, v in params.items()}
     return model

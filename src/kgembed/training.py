@@ -468,12 +468,17 @@ def model_from_checkpoint(ckpt: Checkpoint, tokens=None,
     """Rebuild a scoring-ready model from checkpoint tables.
 
     Tokenized checkpoints need the token cache that training used.  A
-    config-hash mismatch only warns; a dimension mismatch is fatal.
+    config-hash mismatch only warns.  A table that is missing, extra, of
+    another shape than ``KgeModel.table_shapes`` or not floating-point
+    raises CheckpointError naming it.
     """
     meta = ckpt.meta
     if expect_config_hash and expect_config_hash != meta["config_hash"]:
         log.warning("config hash mismatch: checkpoint %s vs current %s",
                     meta["config_hash"], expect_config_hash)
+    if meta["mode"] not in ("lookup", "tokenized"):
+        raise CheckpointError(f"unknown mode {meta['mode']!r}: expected "
+                              "'lookup' or 'tokenized'")
     kind = model_kind(meta["kind"])
     model = KgeModel(
         kind=kind, dim=meta["dim"], p=meta["p"], u=meta["u"],
@@ -495,11 +500,17 @@ def model_from_checkpoint(ckpt: Checkpoint, tokens=None,
             model.attach_tokens(tokens, **encm)
         except ValueError as exc:
             raise CheckpointError(str(exc)) from exc
-        if model.params["tok"].shape[0] != model.layout.vocab_size:
-            raise CheckpointError(
-                f"token table has {model.params['tok'].shape[0]} rows, "
-                f"layout expects {model.layout.vocab_size}"
-            )
+    want = model.table_shapes()
+    model_is = f"a {model.mode} {kind.name} model"
+    for name, shape in want.items():
+        table = ckpt.params.get(name)
+        if table is None or table.shape != shape or table.dtype.kind != "f":
+            got = "absent" if table is None else f"{table.dtype} {table.shape}"
+            raise CheckpointError(f"table {name}: {got}, {model_is} needs "
+                                  f"floating-point {shape}")
+    extra = sorted(ckpt.params.keys() - want.keys())
+    if extra:
+        raise CheckpointError(f"table {extra[0]}: not a table of {model_is}")
     return model
 
 
@@ -526,6 +537,7 @@ def train_loop(store: TripleStore, cfg: TrainConfig, tokens=None,
     if model is None:
         model = build_model_from_config(cfg, store.num_entities,
                                         store.num_relations, tokens=tokens)
+    model.check_store(store)
     opt = AdamState.init(model.params)
     train = store.splits["train"]
     n = len(train)

@@ -28,14 +28,18 @@ HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden.json"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# name -> (tokenized, model, p, u)
+# name -> the case's TrainConfig keys beyond the shared ones in run_case
 CASES = {
-    "lookup-interht": (False, "interht", 1, 0.0),
-    "lookup-interht_plus": (False, "interht_plus", 1, 0.05),
-    "tokenized-interht": (True, "interht", 1, 0.0),
-    "tokenized-interht_plus": (True, "interht_plus", 1, 0.05),
-    "lookup-complex": (False, "complex", 1, 0.0),
-    "lookup-rotate-p2": (False, "rotate", 2, 0.0),
+    "lookup-interht": dict(model="interht"),
+    "lookup-interht_plus": dict(model="interht_plus", u=0.05),
+    "tokenized-interht": dict(model="interht", tokenized=True),
+    "tokenized-interht_plus": dict(model="interht_plus", u=0.05,
+                                   tokenized=True),
+    "tokenized-interht_plus-mean": dict(model="interht_plus", u=0.05,
+                                        tokenized=True, combiner="mean",
+                                        use_center=False),
+    "lookup-complex": dict(model="complex"),
+    "lookup-rotate-p2": dict(model="rotate", p=2),
 }
 
 
@@ -47,16 +51,15 @@ def run_case(name: str, work: Path) -> dict[str, str]:
     from kgembed.data import TripleStore
     from kgembed.training import TrainConfig, train_loop
 
-    tokenized, model, p, u = CASES[name]
+    cfg = TrainConfig(dim=32, lr=0.01, batch_size=128, neg_size=16,
+                      steps_max=12, valid_every=4, log_every=1, **CASES[name])
     make_cyclic_kg(120, 4)[0].save(work / "store")
     store = TripleStore.load(work / "store")
     aset = anc.select_global_anchors(store, 8)
     tg, _ = anc.tokenize_all(store, aset, 4, 2, 2, seed=3)
     anc.save_token_cache(tg, work / "tokens.bin")
-    tokens = anc.load_token_cache(work / "tokens.bin") if tokenized else None
-    cfg = TrainConfig(model=model, dim=32, p=p, u=u, lr=0.01, batch_size=128,
-                      neg_size=16, steps_max=12, valid_every=4, log_every=1,
-                      tokenized=tokenized)
+    tokens = (anc.load_token_cache(work / "tokens.bin") if cfg.tokenized
+              else None)
     records: list[dict] = []
     train_loop(store, cfg, tokens=tokens, sink=records.append,
                checkpoint_dir=work / "ckpt")

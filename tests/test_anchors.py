@@ -46,11 +46,26 @@ class TestSelectGlobalAnchors:
         np.testing.assert_array_equal(a.anchor_ids, b.anchor_ids)
         assert not np.array_equal(a.anchor_ids, c.anchor_ids)
         assert len(np.unique(a.anchor_ids)) == 10
+        assert a.strategy == "random"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_ids_distinct_and_sorted(self, seed):
+        store = random_store(40, 3, 100, seed=22)
+        ids = anc.select_global_anchors(store, 10, strategy="random",
+                                        seed=seed).anchor_ids
+        assert len(ids) == 10
+        assert (np.diff(ids) > 0).all()
+        assert 0 <= ids[0] and ids[-1] < 40
 
     def test_count_clipped_to_entities(self):
         store = store_from_arrays([(0, 0, 1)], num_entities=2, num_relations=1)
         sel = anc.select_global_anchors(store, 99, strategy="degree")
         assert len(sel) == 2
+
+    def test_random_count_clipped_to_entities(self):
+        store = store_from_arrays([(0, 0, 1)], num_entities=2, num_relations=1)
+        sel = anc.select_global_anchors(store, 99, strategy="random", seed=1)
+        np.testing.assert_array_equal(sel.anchor_ids, [0, 1])
 
     def test_bad_inputs(self):
         store = store_from_arrays([(0, 0, 1)], num_entities=2, num_relations=1)
@@ -58,6 +73,12 @@ class TestSelectGlobalAnchors:
             anc.select_global_anchors(store, 0)
         with pytest.raises(ValueError, match="strategy"):
             anc.select_global_anchors(store, 1, strategy="pagerank")
+
+    @pytest.mark.parametrize("strategy", ["Random", "", "random "])
+    def test_unknown_strategy_rejected(self, strategy):
+        store = store_from_arrays([(0, 0, 1)], num_entities=2, num_relations=1)
+        with pytest.raises(ValueError, match="unknown anchor strategy"):
+            anc.select_global_anchors(store, 1, strategy=strategy, seed=1)
 
 
 class TestAssignNodeAnchors:

@@ -190,6 +190,27 @@ class TestTokenize:
         from kgembed.anchors import load_token_cache
         assert load_token_cache(cache).num_entities == 4
 
+    def test_random_anchors_cache_loads(self, tmp_path, capsys):
+        from kgembed.anchors import load_token_cache, select_global_anchors
+        from kgembed.data import TripleStore
+        store = ingest_line_store(tmp_path)
+        capsys.readouterr()
+        caches = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for cache in caches:
+            assert cli.main(["tokenize", "--set", f"data={store}",
+                             "--set", f"token_cache={cache}",
+                             "--set", "anchor_strategy=random",
+                             "--set", "seed=4", "--set", "anchors=2",
+                             "--set", "k_anc=2", "--set", "k_in=1",
+                             "--set", "k_out=1"]) == 0
+            assert json.loads(capsys.readouterr().out)["anchors"] == 2
+        tg = load_token_cache(caches[0])
+        want = select_global_anchors(TripleStore.load(store), 2, "random",
+                                     seed=4)
+        np.testing.assert_array_equal(tg.anchor_ids, want.anchor_ids)
+        assert tg.num_entities == 4
+        assert caches[0].read_bytes() == caches[1].read_bytes()
+
     def test_needs_data(self, capsys):
         rc = cli.main(["tokenize", "--set", "token_cache=/tmp/x.bin"])
         assert rc == 2

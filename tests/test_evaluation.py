@@ -380,6 +380,59 @@ class TestEvaluateSplit:
             ev.evaluate_split(m, store, "valid")
 
 
+class TestStoreSize:
+    """A model is only ranked against, or trained on, a store with its
+    entity and relation counts; the 50-entity, 3-relation store here is
+    met by a model with 30 entities too many or one relation too few."""
+
+    SIZES = [
+        pytest.param(80, 3, "model has 80 entities, store has 50",
+                     id="more-entities"),
+        pytest.param(50, 2, "model has 2 relations, store has 3",
+                     id="fewer-relations"),
+    ]
+
+    @staticmethod
+    def store():
+        return random_store(50, 3, 300, seed=84, splits=(0.9, 0.0, 0.1))
+
+    @pytest.mark.parametrize("ne, nr, message", SIZES)
+    def test_ranking_raises(self, ne, nr, message):
+        store = self.store()
+        m = build_model("interht", ne, nr, 8, seed=85)
+        with pytest.raises(ValueError, match=message):
+            ev.rank_split(m, store, "test")
+        with pytest.raises(ValueError, match=message):
+            ev.evaluate_split(m, store, "test")
+        h, r, t = store.splits["test"][0].tolist()
+        with pytest.raises(ValueError, match=message):
+            ev.rank_query(m, store, Query(h, r, t, "tail"))
+
+    @pytest.mark.parametrize("ne, nr, message", SIZES)
+    def test_train_loop_raises(self, ne, nr, message):
+        from kgembed.training import TrainConfig, train_loop
+        m = build_model("interht", ne, nr, 8, seed=85)
+        cfg = TrainConfig(model="interht", dim=8, batch_size=8, neg_size=2,
+                          steps_max=1)
+        with pytest.raises(ValueError, match=message):
+            train_loop(self.store(), cfg, model=m)
+
+    @pytest.mark.parametrize("ne, nr, message", SIZES)
+    def test_eval_exits_2(self, tmp_path, capsys, ne, nr, message):
+        from kgembed import cli
+        from kgembed.training import (TrainConfig, make_checkpoint,
+                                      save_checkpoint)
+        self.store().save(tmp_path / "store")
+        m = build_model("interht", ne, nr, 8, seed=85)
+        save_checkpoint(make_checkpoint(m, TrainConfig(model="interht", dim=8),
+                                        0, np.random.default_rng(0)),
+                        tmp_path / "m.ckpt")
+        rc = cli.main(["eval", "--set", f"data={tmp_path / 'store'}",
+                       "--set", f"checkpoint={tmp_path / 'm.ckpt'}"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 class TestCandidateFiles:
     def test_round_trip(self, tmp_path):
         arr = np.array([[5, 2, 9], [1, 0, 3]])

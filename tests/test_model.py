@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,8 @@ class TestBuildLookup:
         rel_dim = 4 if kind == "rotate" else 8
         for name in tables - {"ent", "ent_aux"}:
             assert m.params[name].shape == (3, rel_dim)
+        assert ([(n, p.shape) for n, p in m.params.items()]
+                == list(m.table_shapes().items()))
 
     def test_even_dim_enforced(self):
         with pytest.raises(ValueError, match="even"):
@@ -145,6 +149,18 @@ class TestBuildTokenized:
         assert m.frozen_rows == {"tok": lay.pad_row}
         assert m.tok_ids.shape == (12, tg.num_slots)
 
+    @pytest.mark.parametrize("combiner", ["transformer", "mean"])
+    def test_params_follow_table_shapes(self, combiner):
+        store = random_store(12, 3, 50, seed=30)
+        m = mdl.build_model("interht_plus", 12, 3, 8, seed=8,
+                            tokens=tokens_for_store(store), d_tok=4,
+                            heads=2, combiner=combiner)
+        shapes = m.table_shapes()
+        assert {n: p.shape for n, p in m.params.items()} == shapes
+        assert list(shapes)[:4] == ["rel_h", "rel", "rel_t", "tok"]
+        assert "ent" not in shapes
+        assert ("wq" in shapes) == (combiner == "transformer")
+
     def test_entity_count_mismatch(self):
         store = random_store(12, 3, 50, seed=31)
         tg = tokens_for_store(store)
@@ -182,6 +198,30 @@ class TestBuildTokenized:
         direct_b, direct_a, _ = m.encode_entities(np.arange(12))
         np.testing.assert_allclose(base, direct_b, rtol=1e-12)
         np.testing.assert_allclose(aux, direct_a, rtol=1e-12)
+
+    def test_encode_all_drops_each_batch_cache(self, monkeypatch):
+        # a batch's backward cache holds every encoder activation; it must
+        # be freed before the next batch is encoded
+        store = random_store(12, 3, 50, seed=36)
+        m = mdl.build_model("interht", 12, 3, 8, seed=13,
+                            tokens=tokens_for_store(store), d_tok=8, heads=2)
+
+        class Cache:    # weakref-able stand-in for the cache tuple
+            def __init__(self, inner):
+                self.inner = inner
+
+        encode, refs, alive = m.encode_entities, [], []
+
+        def tracked(ids):
+            alive.append(any(ref() is not None for ref in refs))
+            base, aux, cache = encode(ids)
+            wrapped = Cache(cache)
+            refs.append(weakref.ref(wrapped))
+            return base, aux, wrapped
+
+        monkeypatch.setattr(m, "encode_entities", tracked)
+        m.encode_all(batch_size=5)
+        assert alive == [False, False, False]
 
     def test_entity_backward_never_touches_pad_row(self):
         store = random_store(12, 3, 50, seed=35)

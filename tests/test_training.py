@@ -596,6 +596,128 @@ class TestCheckpoint:
             assert "covers 20 entities, model has 30" in capsys.readouterr().err
 
 
+def _drop_ent_aux(params):
+    del params["ent_aux"]
+
+
+def _ten_extra_ent_rows(params):
+    params["ent"] = np.concatenate([params["ent"], params["ent"][:10]])
+
+
+def _rel_width_4(params):
+    params["rel"] = np.ascontiguousarray(params["rel"][:, :4])
+
+
+def _ent_as_int64(params):
+    params["ent"] = (params["ent"] * 100).astype(np.int64)
+
+
+def _extra_table(params):
+    params["rel_h"] = params["rel"].copy()
+
+
+class TestCheckpointSchema:
+    """model_from_checkpoint holds every table to KgeModel.table_shapes and
+    accepts only the two modes; through cli.main each mismatch exits 2."""
+
+    PROBES = [
+        pytest.param(_drop_ent_aux, "table ent_aux: absent, a lookup interht "
+                     "model needs floating-point (50, 8)", id="no-ent_aux"),
+        pytest.param(_ten_extra_ent_rows, "table ent: float32 (60, 8), a "
+                     "lookup interht model needs floating-point (50, 8)",
+                     id="ent-10-extra-rows"),
+        pytest.param(_rel_width_4, "table rel: float32 (3, 4), a lookup "
+                     "interht model needs floating-point (3, 8)",
+                     id="rel-width-4"),
+        pytest.param(_ent_as_int64, "table ent: int64 (50, 8), a lookup "
+                     "interht model needs floating-point (50, 8)",
+                     id="ent-int64"),
+        pytest.param(_extra_table, "table rel_h: not a table of a lookup "
+                     "interht model", id="extra-rel_h"),
+    ]
+
+    def lookup_case(self, tmp_path, corrupt):
+        """A saved 50-entity lookup interht store and checkpoint, with
+        ``corrupt`` applied to the checkpoint's tables."""
+        store = random_store(50, 3, 300, seed=80, splits=(0.9, 0.0, 0.1))
+        m = build_model("interht", 50, 3, 8, seed=81)
+        ckpt = tr.make_checkpoint(m, tr.TrainConfig(model="interht", dim=8),
+                                  0, np.random.default_rng(0))
+        corrupt(ckpt.params)
+        store.save(tmp_path / "store")
+        tr.save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        return tr.load_checkpoint(tmp_path / "m.ckpt")
+
+    def tokenized_case(self, tmp_path, mode):
+        from kgembed import anchors as anc
+        store = random_store(20, 2, 100, seed=82, splits=(0.9, 0.0, 0.1))
+        tg, _ = anc.tokenize_all(store, anc.select_global_anchors(store, 3),
+                                 2, 1, 1)
+        m = build_model("interht", 20, 2, 4, seed=83, tokens=tg, d_tok=4,
+                        heads=2)
+        cfg = tr.TrainConfig(model="interht", dim=4, tokenized=True, d_tok=4,
+                             heads=2)
+        ckpt = tr.make_checkpoint(m, cfg, 0, np.random.default_rng(0))
+        ckpt.meta["mode"] = mode
+        store.save(tmp_path / "store")
+        anc.save_token_cache(tg, tmp_path / "tokens.bin")
+        tr.save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        return tr.load_checkpoint(tmp_path / "m.ckpt"), tg
+
+    def eval_exit(self, tmp_path, capsys):
+        from kgembed import cli
+        capsys.readouterr()
+        rc = cli.main(["eval", "--set", f"data={tmp_path / 'store'}",
+                       "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                       "--set", f"token_cache={tmp_path / 'tokens.bin'}"])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", PROBES)
+    def test_table_mismatch_raises(self, tmp_path, corrupt, message):
+        ckpt = self.lookup_case(tmp_path, corrupt)
+        with pytest.raises(tr.CheckpointError) as info:
+            tr.model_from_checkpoint(ckpt)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("corrupt, message", PROBES)
+    def test_table_mismatch_eval_exits_2(self, tmp_path, capsys, corrupt,
+                                         message):
+        self.lookup_case(tmp_path, corrupt)
+        rc, err = self.eval_exit(tmp_path, capsys)
+        assert rc == 2
+        assert message in err
+
+    def test_untouched_checkpoint_loads(self, tmp_path, capsys):
+        ckpt = self.lookup_case(tmp_path, lambda params: None)
+        assert tr.model_from_checkpoint(ckpt).table_shapes()["ent"] == (50, 8)
+        assert self.eval_exit(tmp_path, capsys)[0] == 0
+
+    def test_unknown_mode_raises(self, tmp_path):
+        ckpt, tg = self.tokenized_case(tmp_path, "tokenised")
+        with pytest.raises(tr.CheckpointError,
+                           match="unknown mode 'tokenised'"):
+            tr.model_from_checkpoint(ckpt, tokens=tg)
+
+    def test_unknown_mode_eval_exits_2(self, tmp_path, capsys):
+        self.tokenized_case(tmp_path, "tokenised")
+        rc, err = self.eval_exit(tmp_path, capsys)
+        assert rc == 2
+        assert "unknown mode 'tokenised'" in err
+
+    def test_tokenized_checkpoint_loads(self, tmp_path, capsys):
+        ckpt, tg = self.tokenized_case(tmp_path, "tokenized")
+        assert tr.model_from_checkpoint(ckpt, tokens=tg).tokenized
+        assert self.eval_exit(tmp_path, capsys)[0] == 0
+
+    def test_token_table_rows_checked(self, tmp_path):
+        ckpt, tg = self.tokenized_case(tmp_path, "tokenized")
+        rows = ckpt.params["tok"].shape[0]
+        ckpt.params["tok"] = ckpt.params["tok"][:-1]
+        with pytest.raises(tr.CheckpointError,
+                           match=rf"table tok: float32 \({rows - 1}, 4\)"):
+            tr.model_from_checkpoint(ckpt, tokens=tg)
+
+
 class TestTrainLoop:
     def small_cfg(self, **kw):
         base = dict(model="transe", dim=8, p=1, gamma=4.0, adv_alpha=0.5,
