@@ -22,7 +22,7 @@ from .training import (AdamState, Checkpoint, GradBuffer, TrainConfig,
 from .evaluation import (EvalReport, RankResult, evaluate_split,
                          load_candidate_sets, rank_query)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "AdamState", "AnchorSet", "Checkpoint", "EncoderConfig", "EvalReport",

@@ -102,13 +102,18 @@ def _one_hop(store: TripleStore, v: int) -> np.ndarray:
     return np.union1d(store.in_neighbors(v)[0], store.out_neighbors(v)[0])
 
 
-def _assign(store: TripleStore, anchors: AnchorSet, node: int,
-            k_anc: int) -> tuple[np.ndarray, int]:
+def assign_node_anchors(store: TripleStore, anchors: AnchorSet, node: int,
+                        k_anc: int) -> np.ndarray:
+    """Entity ids of the node's anchor tokens, PAD-filled to k_anc.
+
+    One-hop anchors come first (ascending id); remaining slots are filled by
+    two-hop anchors ranked by the number of the node's non-anchor one-hop
+    neighbors adjacent to them (descending, ties ascending id).
+    """
     one = _one_hop(store, node)
     step1 = one[anchors.is_anchor[one]] if len(one) else one
     out = np.full(k_anc, PAD, dtype=np.int64)
-    n_one_hop = len(step1)
-    take = min(k_anc, n_one_hop)
+    take = min(k_anc, len(step1))
     out[:take] = step1[:take]
     if take < k_anc and len(one):
         chosen = set(int(a) for a in step1)
@@ -123,18 +128,7 @@ def _assign(store: TripleStore, anchors: AnchorSet, node: int,
         for b, _ in ranked[: k_anc - take]:
             out[take] = b
             take += 1
-    return out, n_one_hop
-
-
-def assign_node_anchors(store: TripleStore, anchors: AnchorSet, node: int,
-                        k_anc: int) -> np.ndarray:
-    """Entity ids of the node's anchor tokens, PAD-filled to k_anc.
-
-    One-hop anchors come first (ascending id); remaining slots are filled by
-    two-hop anchors ranked by the number of the node's non-anchor one-hop
-    neighbors adjacent to them (descending, ties ascending id).
-    """
-    return _assign(store, anchors, node, k_anc)[0]
+    return out
 
 
 def sample_direction_neighbors(store: TripleStore, node: int, k_in: int,
@@ -163,7 +157,7 @@ def build_subgraph_tokens(store: TripleStore, anchors: AnchorSet, node: int,
                           seed: int = 0) -> SubgraphTokens:
     """Compose anchor assignment + neighbor sampling + center for one node."""
     rng = _node_rng(seed, node)
-    anchor_ents, _ = _assign(store, anchors, node, k_anc)
+    anchor_ents = assign_node_anchors(store, anchors, node, k_anc)
     in_ids, out_ids = sample_direction_neighbors(store, node, k_in, k_out, rng)
     anchor_tok = np.where(anchor_ents >= 0, anchors.anchor_index[anchor_ents], PAD)
     mask = np.concatenate(
@@ -216,7 +210,7 @@ def tokenize_all(store: TripleStore, anchors: AnchorSet, k_anc: int, k_in: int,
     """
     e = store.num_entities
     # a node is one-hop covered when a train triple joins it to an anchor,
-    # in either direction: the test of _assign's one-hop anchor count.
+    # in either direction, as in assign_node_anchors' one-hop step.
     # Taken before the cache arrays exist, so its temporaries do not add
     # to their peak.
     tr = store.splits["train"]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import anchors as anc
 from . import binfile, gradcheck
-from .data import TripleStore, build_adjacency, load_triples
+from .data import TripleStore, load_triples
 from .evaluation import evaluate_split, load_candidate_sets
 from .training import (TrainConfig, load_checkpoint, model_from_checkpoint,
                        train_loop)
@@ -219,7 +219,6 @@ def cmd_ingest(cfg: dict, explicit: set) -> int:
         num_entities=cfg["num_entities"] or None,
         num_relations=cfg["num_relations"] or None,
     )
-    build_adjacency(store)
     store.save(out)
     stats = {
         "entities": store.num_entities,

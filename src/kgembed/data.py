@@ -100,7 +100,8 @@ class TripleStore:
     Adjacency is CSR over the train split only: ``in_*`` lists, for each
     node v, the (u, r) pairs with (u, r, v) in train; ``out_*`` lists the
     (u, r) pairs with (v, r, u) in train.  Both are sorted per node by
-    (neighbor, relation).
+    (neighbor, relation).  The arrays are ``None`` until the first
+    neighbor query or :func:`build_adjacency` builds them.
 
     Membership and filter sets come from sorted, deduplicated packed-key
     arrays, each built on first use: "train" holds (h, r, t) keys of the
@@ -134,17 +135,17 @@ class TripleStore:
     def num_triples(self, split: str) -> int:
         return len(self.splits[split])
 
-    @property
-    def has_adjacency(self) -> bool:
-        return self.in_ptr is not None
-
     def in_neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(heads, relations) of train triples pointing at v."""
+        if self.in_ptr is None:
+            build_adjacency(self)
         lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
         return self.in_nbr[lo:hi], self.in_rel[lo:hi]
 
     def out_neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """(tails, relations) of train triples leaving v."""
+        if self.out_ptr is None:
+            build_adjacency(self)
         lo, hi = self.out_ptr[v], self.out_ptr[v + 1]
         return self.out_nbr[lo:hi], self.out_rel[lo:hi]
 
@@ -238,6 +239,8 @@ class TripleStore:
             if (got_ne, got_nr) != (ne, nr):
                 raise rd.error("counts", f"{got_ne} entities and {got_nr} "
                                f"relations, vocab files have {ne} and {nr}")
+            if counts[0] == 0:
+                raise rd.error("counts", "train split is empty")
             splits = {s: rd.array("<i4", (n, 3), s)
                       for s, n in zip(SPLITS, counts)}
         for s, rows in splits.items():
@@ -247,7 +250,7 @@ class TripleStore:
             splits[s] = rows.astype(np.int32, copy=False)
         store = cls(entities=entities, relations=relations, splits=splits)
         _count_duplicates(store)
-        return build_adjacency(store)
+        return store
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -373,33 +376,27 @@ def load_triples(
 
 def build_adjacency(store: TripleStore) -> TripleStore:
     """Populate CSR adjacency from the train split (sorted per node)."""
+    e, nr = store.num_entities, store.num_relations
+    if e * e * nr >= 2**62:
+        raise OverflowError("graph too large for packed adjacency keys")
     tr = store.splits["train"]
-    if len(tr) == 0:
-        raise TripleFormatError("cannot build adjacency: train split is empty")
-    e = store.num_entities
     h, r, t = tr[:, 0], tr[:, 1], tr[:, 2]
-
-    order = _stable_order(t, h, r, e, store.num_relations)
-    store.in_nbr = np.ascontiguousarray(h[order])
-    store.in_rel = np.ascontiguousarray(r[order])
-    store.in_ptr = np.zeros(e + 1, dtype=np.int64)
-    store.in_ptr[1:] = np.cumsum(np.bincount(t, minlength=e))
-
-    order = _stable_order(h, t, r, e, store.num_relations)
-    store.out_nbr = np.ascontiguousarray(t[order])
-    store.out_rel = np.ascontiguousarray(r[order])
-    store.out_ptr = np.zeros(e + 1, dtype=np.int64)
-    store.out_ptr[1:] = np.cumsum(np.bincount(h, minlength=e))
+    store.in_ptr, store.in_nbr, store.in_rel = _csr(t, h, r, e, nr)
+    store.out_ptr, store.out_nbr, store.out_rel = _csr(h, t, r, e, nr)
     return store
 
 
-def _stable_order(node, nbr, r, num_entities: int, num_relations: int):
-    """The order of ``np.lexsort((r, nbr, node))``, by one stable argsort
-    of packed ``(node * E + nbr) * R + r`` keys where they fit in int64."""
-    if num_entities * num_entities * num_relations >= 2**63:
-        return np.lexsort((r, nbr, node))
-    key = (node.astype(np.int64) * num_entities + nbr) * num_relations + r
-    return np.argsort(key, kind="stable")
+def _csr(node, nbr, rel, e: int, nr: int):
+    """(ptr, nbr, rel) rows of each node sorted by (nbr, rel): one sort of
+    packed ``(node * e + nbr) * nr + rel`` keys, decoded back to columns
+    in place."""
+    ptr = np.zeros(e + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node, minlength=e), out=ptr[1:])
+    key = np.sort((node.astype(np.int64) * e + nbr) * nr + rel)
+    rel = (key % nr).astype(np.int32)
+    key //= nr
+    key %= e
+    return ptr, key.astype(np.int32), rel
 
 
 def filtered_candidates(store: TripleStore, query: Query) -> np.ndarray:

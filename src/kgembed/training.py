@@ -529,8 +529,6 @@ def train_loop(store: TripleStore, cfg: TrainConfig, tokens=None,
     from .evaluation import evaluate_split
 
     cfg.validate()
-    if not store.has_adjacency and cfg.tokenized:
-        raise ValueError("tokenized training requires adjacency (run ingest)")
     if store.num_entities == 1:
         log.warning("single-entity store: every negative equals the gold entity")
     rng = np.random.default_rng(cfg.seed)

@@ -45,7 +45,7 @@ CASES = {
 
 def run_case(name: str, work: Path) -> dict[str, str]:
     """Run one case in this process, writing under ``work``."""
-    from conftest import make_cyclic_kg
+    from helpers import make_cyclic_kg
     from kgembed import anchors as anc
     from kgembed import cli
     from kgembed.data import TripleStore

@@ -20,7 +20,7 @@ from kgembed import training as tr
 from kgembed.data import load_triples
 from kgembed.model import build_model
 
-from conftest import make_cyclic_kg, random_store, store_from_arrays
+from helpers import make_cyclic_kg, random_store, store_from_arrays
 
 KERNEL_TOL = 1e-4
 ENCODER_TOL = 1e-3

@@ -10,6 +10,7 @@ import pytest
 
 import kgembed
 from kgembed import cli
+from kgembed.data import TripleStore
 from kgembed.model import build_model
 from kgembed.training import TrainConfig, make_checkpoint, save_checkpoint
 
@@ -328,6 +329,18 @@ class TestEval:
                        "--set", f"checkpoint={ckpt}", "--set", "dim=200"])
         assert rc == 2
         assert "checkpoint has dim=1" in capsys.readouterr().err
+
+    def test_empty_train_split_exits_2(self, tmp_path, capsys):
+        store = ingest_line_store(tmp_path, test_rows=[(2, 0, 3)])
+        kg = TripleStore.load(store)
+        kg.splits["train"] = kg.splits["train"][:0]
+        kg.save(store)
+        ckpt = line_checkpoint(tmp_path, [0, 1, 2, 3])
+        capsys.readouterr()
+        rc = cli.main(["eval", "--set", f"data={store}",
+                       "--set", f"checkpoint={ckpt}"])
+        assert rc == 2
+        assert "train split is empty" in capsys.readouterr().err
 
     def test_checkpoint_required(self, tmp_path, capsys):
         store = ingest_line_store(tmp_path, test_rows=[(2, 0, 3)])

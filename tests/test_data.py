@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgembed.data import (Query, TripleFormatError, TripleStore,
-                          _stable_order, build_adjacency, filtered_candidates,
-                          load_triples)
+from kgembed.data import (Query, TripleFormatError, TripleStore, Vocab,
+                          build_adjacency, filtered_candidates, load_triples)
 
-from conftest import random_store, store_from_arrays, triples_text
+from helpers import random_store, store_from_arrays, triples_text
 
 
 def labels(text: str) -> io.StringIO:
@@ -141,7 +140,8 @@ class TestAdjacency:
         rows = np.column_stack([rng.integers(0, ne, n), rng.integers(0, nr, n),
                                 rng.integers(0, ne, n)])
         rows = np.concatenate([rows, rows[rng.integers(0, n, dups)]])
-        store = store_from_arrays(rows, num_entities=ne, num_relations=nr)
+        store = build_adjacency(
+            store_from_arrays(rows, num_entities=ne, num_relations=nr))
         h, r, t = (store.splits["train"][:, i] for i in range(3))
         order = np.lexsort((r, h, t))
         np.testing.assert_array_equal(store.in_nbr, h[order])
@@ -154,14 +154,56 @@ class TestAdjacency:
         np.testing.assert_array_equal(
             np.diff(store.out_ptr), np.bincount(h, minlength=ne))
 
-    @pytest.mark.parametrize("ne, nr", [(5, 3), (2**20, 1000), (2**31, 8)])
+    @staticmethod
+    def id_store(ne, nr, rows) -> TripleStore:
+        """A store of ``ne`` entities and ``nr`` relations whose vocabularies
+        hold no labels, so that large id spaces cost no memory."""
+        empty = np.empty((0, 3), dtype=np.int32)
+        return TripleStore(entities=Vocab(range(ne)),
+                           relations=Vocab(range(nr)),
+                           splits={"train": rows, "valid": empty,
+                                   "test": empty})
+
+    @pytest.mark.parametrize("ne, nr", [(5, 3), (2**20, 1000)])
     def test_packed_order_is_lexsort_order(self, ne, nr):
-        # the last case does not fit a packed int64 key and takes lexsort
+        # ids near the top of the key space
         rng = np.random.default_rng(12)
-        node, nbr = (ne - 1 - rng.integers(0, 4, 300) for _ in range(2))
+        h, t = (ne - 1 - rng.integers(0, 4, 300) for _ in range(2))
         r = nr - 1 - rng.integers(0, min(nr, 3), 300)
-        np.testing.assert_array_equal(_stable_order(node, nbr, r, ne, nr),
-                                      np.lexsort((r, nbr, node)))
+        store = build_adjacency(self.id_store(
+            ne, nr, np.column_stack([h, r, t]).astype(np.int32)))
+        order = np.lexsort((r, h, t))
+        np.testing.assert_array_equal(store.in_nbr, h[order])
+        np.testing.assert_array_equal(store.in_rel, r[order])
+        order = np.lexsort((r, t, h))
+        np.testing.assert_array_equal(store.out_nbr, t[order])
+        np.testing.assert_array_equal(store.out_rel, r[order])
+
+    def test_key_space_overflow_raises(self):
+        # the same bound as the triple keys, checked before anything is
+        # allocated for 2**31 entities
+        store = self.id_store(2**31, 8, np.array([[0, 0, 1]], dtype=np.int32))
+        with pytest.raises(OverflowError, match="too large"):
+            build_adjacency(store)
+        with pytest.raises(OverflowError, match="too large"):
+            store.in_neighbors(0)
+
+    def test_built_on_first_query(self, tmp_path):
+        store = random_store(30, 4, 200, seed=11)
+        store.save(tmp_path / "kg")
+        loaded = TripleStore.load(tmp_path / "kg")
+        assert loaded.in_ptr is None and loaded.out_ptr is None
+        nbr, rel = loaded.out_neighbors(3)
+        built = build_adjacency(TripleStore.load(tmp_path / "kg"))
+        for side in ("in", "out"):
+            for part in ("ptr", "nbr", "rel"):
+                got = getattr(loaded, f"{side}_{part}")
+                want = getattr(built, f"{side}_{part}")
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        lo, hi = built.out_ptr[3], built.out_ptr[4]
+        np.testing.assert_array_equal(nbr, built.out_nbr[lo:hi])
+        np.testing.assert_array_equal(rel, built.out_rel[lo:hi])
 
     def test_degrees(self):
         store = store_from_arrays([(0, 0, 1), (0, 0, 2), (2, 0, 0)])
@@ -251,7 +293,6 @@ class TestPersistence:
         assert loaded.num_relations == 2
         for s in ("train", "valid", "test"):
             np.testing.assert_array_equal(loaded.splits[s], store.splits[s])
-        assert loaded.has_adjacency
 
     def test_label_vocab_round_trip(self, tmp_path):
         store = load_triples({"train": labels("alpha\tr\tbeta\n")})
@@ -260,6 +301,13 @@ class TestPersistence:
         loaded = TripleStore.load(tmp_path / "kg")
         assert loaded.entities.labels == ["alpha", "beta"]
         assert loaded.relations.labels == ["r"]
+
+    def test_empty_train_split_rejected(self, tmp_path):
+        store = store_from_arrays([(0, 0, 1)], valid=[(1, 0, 0)])
+        store.splits["train"] = store.splits["train"][:0]
+        store.save(tmp_path / "kg")
+        with pytest.raises(TripleFormatError, match="train split is empty"):
+            TripleStore.load(tmp_path / "kg")
 
     def test_bad_magic(self, tmp_path):
         store = store_from_arrays([(0, 0, 1)])

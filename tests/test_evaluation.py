@@ -11,7 +11,7 @@ from kgembed.model import build_model
 from kgembed.scoring import MODEL_KINDS
 
 import rank_oracle
-from conftest import random_store, store_from_arrays
+from helpers import random_store, store_from_arrays
 
 # Few distinct values, so that scores tie often and exactly.
 TIE_VALUES = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])

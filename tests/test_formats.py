@@ -14,7 +14,7 @@ from kgembed import binfile, cli
 from kgembed import training as tr
 from kgembed.data import SPLITS, TripleFormatError, TripleStore
 
-from conftest import random_store
+from helpers import random_store
 
 # name -> (file in a run directory, loader of a run directory, error class,
 #          (offset, struct format) of each count field in the file)

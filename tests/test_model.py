@@ -8,7 +8,7 @@ from kgembed import encoder as enc
 from kgembed import model as mdl
 from kgembed.training import GradBuffer
 
-from conftest import random_store
+from helpers import random_store
 
 
 def tokens_for_store(store, num_anchors=3, k=(2, 1, 2), seed=0):

@@ -13,7 +13,7 @@ from kgembed.scoring import MODEL_KINDS
 from kgembed.segments import RowGroups
 
 import step_oracle
-from conftest import random_store
+from helpers import random_store
 
 # (rtol, atol) for losses and gradient rows; float32 tolerances cover the
 # oracle's float64 weights and float64 products scattered into float32

@@ -6,10 +6,12 @@ import pytest
 from scipy.special import log_expit, softmax
 
 from kgembed import training as tr
+from kgembed.data import load_triples
 from kgembed.model import build_model
 from kgembed.scoring import MODEL_KINDS
 
-from conftest import make_cyclic_kg, random_store, store_from_arrays
+from helpers import (make_cyclic_kg, random_store, store_from_arrays,
+                     triples_text)
 
 
 def densify(grads, params):
@@ -821,6 +823,21 @@ class TestTrainLoop:
         pad = m.layout.pad_row
         np.testing.assert_array_equal(m.params["tok"][pad],
                                       np.zeros(8, dtype=np.float32))
+
+    def test_tokenized_training_reads_no_adjacency(self):
+        # the token cache comes from another store object; the training
+        # store is fresh from the loader and its CSR is never built
+        from kgembed import anchors as anc
+        rows = random_store(12, 2, 50, seed=62).splits["train"]
+        tokenized = store_from_arrays(rows, num_entities=12, num_relations=2)
+        tg, _ = anc.tokenize_all(
+            tokenized, anc.select_global_anchors(tokenized, 4), 2, 1, 1)
+        store = load_triples({"train": triples_text(rows)}, fmt="numeric",
+                             num_entities=12, num_relations=2)
+        cfg = self.small_cfg(model="interht", dim=4, tokenized=True, d_tok=8,
+                             heads=2, steps_max=3, batch_size=16, neg_size=4)
+        tr.train_loop(store, cfg, tokens=tg)
+        assert store.in_ptr is None and store.out_ptr is None
 
     def test_deterministic_logs_have_no_wallclock(self):
         store = random_store(15, 3, 60, seed=63)
